@@ -189,6 +189,7 @@ def cmd_trials(args) -> int:
     seeds = _parse_seed_list(args.seeds) if args.seeds else None
     cfg = _load_config(args.config, seeds=seeds, total_steps=args.total_steps,
                        out_dir=args.out)
+    graph = resolve_graph(cfg)      # a bad map fails here, before any trial
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
@@ -215,7 +216,6 @@ def cmd_trials(args) -> int:
         return EXIT_OK
 
     report = run_trials(cfg, jobs=jobs, checkpoint_dir=cfg.out_dir)
-    graph = resolve_graph(cfg)
 
     _write_text(os.path.join(cfg.out_dir, "curves.csv"),
                 curves_csv_text(report.rows))

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .quantdist import huber_terms, midpoints
+# huber_terms is not called here; it stays importable under this name
+# because benchmarks/spans.py wraps it here to count its calls
+from .quantdist import huber_terms, midpoints  # noqa: F401
 
 
 class EmptyBuffer(ValueError):
@@ -210,7 +212,7 @@ class Agent:
         self.n_actions = n_actions
         self.n = cfg.n_quantiles
         self.taus = midpoints(self.n)
-        self._tau_col = self.taus.reshape(1, -1, 1)
+        self._kernel_consts: dict = {}
         self.buffer = ReplayBuffer(cfg.buffer_size)
         self.steps_done = 0
         if cfg.backend == "tabular":
@@ -232,28 +234,13 @@ class Agent:
 
     # ----- distribution access ------------------------------------------
 
-    def _onehot(self, states) -> np.ndarray:
-        states = np.atleast_1d(np.asarray(states, dtype=np.int64))
-        x = np.zeros((len(states), self.n_states))
-        x[np.arange(len(states)), states] = 1.0
-        return x
-
     def action_dists(self, s: int, target: bool = False) -> np.ndarray:
         """Per-action atoms at state s, shape (n_actions, n_quantiles)."""
         if self.cfg.backend == "tabular":
             table = self.theta_target if target else self.theta
             return table[s]
         net = self.net_target if target else self.net
-        out = nn.forward(net, self._onehot(s)[0])
-        return out.reshape(self.n_actions, self.n)
-
-    def _dists_batch(self, states, target: bool) -> np.ndarray:
-        if self.cfg.backend == "tabular":
-            table = self.theta_target if target else self.theta
-            return table[states]
-        net = self.net_target if target else self.net
-        out = nn.forward(net, self._onehot(states))
-        return out.reshape(len(states), self.n_actions, self.n)
+        return nn.forward(net, s, onehot=True).reshape(self.n_actions, self.n)
 
     def greedy_action(self, s: int) -> int:
         # inline argmax-of-means (policies.greedy_action semantics, hot path)
@@ -269,75 +256,136 @@ class Agent:
 
     # ----- updates --------------------------------------------------------
 
+    def _residuals(self, batch: Batch):
+        """TD residuals laid out atoms first, u[i, j, b], and the online
+        network's forward trace (None for the table).
+
+        u[i, j, b] = r_b + gamma * theta_target_j(s'_b, a*_b)
+        - theta_i(s_b, a_b), with the bootstrap term dropped on terminal
+        transitions.
+        """
+        b = len(batch)
+        if b == 0:
+            raise EmptyBatch("batch is empty")
+        rows = self._consts(b)[0]
+        if self.cfg.backend == "tabular":
+            th = self.theta[batch.s, batch.a]
+            # bootstrap atoms of every state; s' picks the rows
+            boot, nxt = self.theta_target, batch.s_next
+            trace = None
+        else:
+            y, trace = nn.forward_trace(self.net, batch.s, onehot=True)
+            th = y.reshape(b, self.n_actions, self.n)[rows, batch.a]
+            boot = nn.forward(self.net_target, batch.s_next, onehot=True
+                              ).reshape(b, self.n_actions, self.n)
+            nxt = rows
+        # mean over the contiguous atom axis, as ndarray.mean sums it
+        a_star = (np.add.reduce(boot, axis=-1) / self.n).argmax(axis=1)
+        target = boot[nxt, a_star[nxt]].T * np.where(batch.done, 0.0,
+                                                     self.cfg.gamma)
+        target += batch.r
+        return target[None, :, :] - th.T[:, None, :], trace
+
     def td_deltas(self, batch: Batch) -> np.ndarray:
-        """Residual tensor delta[b, i, j] for a minibatch.
+        """Residual tensor delta[b, i, j] for a minibatch, a transposed
+        view of the residuals ``qr_update`` works on.
 
         The bootstrap action a* is the target-side greedy action at s';
         terminal transitions use the bare reward as the target.
         """
-        if len(batch) == 0:
-            raise EmptyBatch("batch is empty")
-        if self.cfg.backend == "tabular":
-            th = self.theta[batch.s, batch.a]
-        else:
-            th = self._dists_batch(batch.s, target=False)[
-                np.arange(len(batch)), batch.a]
-        tt_all = self._dists_batch(batch.s_next, target=True)
-        a_star = tt_all.mean(axis=2).argmax(axis=1)
-        tt = tt_all[np.arange(len(batch)), a_star]
-        alive = (~batch.done).astype(float)[:, None]
-        target_atoms = batch.r[:, None] + self.cfg.gamma * alive * tt
-        return target_atoms[:, None, :] - th[:, :, None]
+        return self._residuals(batch)[0].transpose(2, 0, 1)
 
     def qr_update(self, batch: Batch) -> float:
         """One optimizer step on the quantile regression loss; returns it.
 
-        The reported loss per transition is sum_i E_j[rho_taui(delta_ij)],
-        averaged over the batch. The tabular gradient is accumulated per
-        sampled transition (a pair occurring twice in the batch contributes
-        twice) and fed to the configured optimizer; "sgd" is the plain
-        step theta <- theta - lr * grad, "adam" (the default) normalizes
+        The loss per transition is sum_i E_j[rho_taui(delta_ij)], averaged
+        over the batch. It is computed from the gradient's intermediates
+        rather than from ``quantile_huber``, so it agrees with that
+        definition to rounding (1e-12 relative), not bit for bit; the
+        parameter update itself is bit-identical to taking
+        ``quantile_huber_grad``, its mean over j and the optimizer step in
+        that order. The tabular gradient is accumulated per sampled
+        transition (a pair occurring twice in the batch contributes twice)
+        and fed to the configured optimizer; "sgd" is the plain step
+        theta <- theta - lr * grad, "adam" (the default) normalizes
         per-atom step sizes, which keeps rarely visited actions converging
         at the same pace as frequently visited ones. The network backend
         takes one batch-mean gradient. Target parameters are untouched.
         """
-        delta = self.td_deltas(batch)
         b = len(batch)
-        rho, drho = huber_terms(delta, self._tau_col, self.cfg.kappa)
-        loss = float(rho.mean(axis=2).sum(axis=1).mean())
-        # dL/dtheta_i picks up -1 from delta = target - theta_i
-        g = -drho.mean(axis=2)
+        u, trace = self._residuals(batch)
+        rows, atoms, weights = self._consts(b)
+        g, loss = _quantile_step(u, weights, self.cfg.kappa)
         if self.cfg.backend == "tabular":
-            grad = np.zeros_like(self.theta)
-            np.add.at(grad, (batch.s, batch.a), g)
+            cells = (batch.s * self.n_actions + batch.a) * self.n
+            # bincount adds each cell's terms in batch order, as np.add.at
+            grad = np.bincount((cells + atoms).ravel(), g.ravel(),
+                               self.theta.size).reshape(self.theta.shape)
             if self.cfg.optimizer == "sgd":
                 self.theta -= self.cfg.lr * grad
             else:
                 self.opt_t += 1
-                b1, b2, eps = 0.9, 0.999, 1e-8
-                self.opt_m *= b1
-                self.opt_m += (1.0 - b1) * grad
-                self.opt_v *= b2
-                self.opt_v += (1.0 - b2) * grad * grad
-                m_hat = self.opt_m / (1.0 - b1 ** self.opt_t)
-                v_hat = self.opt_v / (1.0 - b2 ** self.opt_t)
-                self.theta -= self.cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+                nn.adam_update(self.theta, grad, self.opt_m, self.opt_v,
+                               self.opt_t, self.cfg.lr)
         else:
             grad_out = np.zeros((b, self.n_actions * self.n))
-            cols = batch.a[:, None] * self.n + np.arange(self.n)[None, :]
-            grad_out[np.arange(b)[:, None], cols] = g / b
-            grads = nn.backward(self.net, self._onehot(batch.s), grad_out)
+            cols = batch.a[:, None] * self.n + atoms.T
+            grad_out[rows[:, None], cols] = g.T / b
+            grads = nn.backward(self.net, batch.s, grad_out, onehot=True,
+                                trace=trace)
             if self.cfg.optimizer == "adam":
                 nn.adam_step(self.net, grads, self.adam, self.cfg.lr)
             else:
                 nn.sgd_step(self.net, grads, self.cfg.lr)
         return loss
 
+    def _consts(self, b: int):
+        """Batch row indices, atom indices as a column, and the kernel's
+        (n, n, b) weights 1 - tau_i and tau_i for batch size b, built on
+        first use."""
+        if b not in self._kernel_consts:
+            col = self.taus.reshape(-1, 1, 1)
+            shape = (self.n, self.n, b)
+            weights = (np.broadcast_to(1.0 - col, shape).copy(),
+                       np.broadcast_to(col, shape).copy())
+            self._kernel_consts[b] = (np.arange(b), np.arange(self.n)[:, None],
+                                      weights)
+        return self._kernel_consts[b]
+
     def sync_target(self) -> None:
         if self.cfg.backend == "tabular":
             np.copyto(self.theta_target, self.theta)
         else:
             self.net_target = nn.clone(self.net)
+
+
+def _quantile_step(u: np.ndarray, weights, kappa: float):
+    """Loss gradient per online atom, g[i, b], and the loss.
+
+    ``u`` holds residuals u[i, j, b] and ``weights`` the arrays 1 - tau_i
+    and tau_i at u's shape. Each term |tau_i - [u < 0]| * psi(u), with
+    psi(u) = clip(u / kappa, -1, 1), is the same product that
+    ``quantile_huber_grad`` forms, and g = -mean_j of the terms is summed
+    in ndarray.mean's order and negated last, so every bit of g agrees with
+    the unfused definition, signed zeros included.
+    """
+    n = u.shape[0]
+    psi = u / kappa
+    np.maximum(psi, -1.0, out=psi)
+    np.minimum(psi, 1.0, out=psi)
+    terms = np.where(u < 0.0, *weights)
+    terms *= psi
+    if n < 8:
+        # for fewer than eight terms numpy's pairwise sum adds in order
+        g = np.add.reduce(terms, axis=1)
+    else:
+        g = np.add.reduce(terms.transpose(0, 2, 1).copy(), axis=-1)
+    g /= -n                     # -(sum / n), bit for bit
+    # rho = w |psi| (|u| - kappa |psi| / 2) = terms * (u - kappa psi / 2)
+    psi *= 0.5 * kappa
+    np.subtract(u, psi, out=psi)
+    loss = float(np.dot(terms.ravel(), psi.ravel())) / (n * u.shape[2])
+    return g, loss
 
 
 # functional aliases over the agent methods --------------------------------

@@ -78,6 +78,10 @@ class RunConfig:
             raise ValueError("seeds must be non-negative")
         if not self.exec_policies:
             raise ValueError("exec_policies must be non-empty")
+        labels = [p.label for p in self.exec_policies]
+        if len(set(labels)) != len(labels):
+            # rows, aggregates and route files are keyed by label alone
+            raise ValueError(f"exec_policies labels must be unique, got {labels}")
 
     def to_dict(self) -> dict:
         return {
@@ -139,6 +143,9 @@ def resolve_graph(cfg: RunConfig) -> GraphMap:
         unknown = set(spec) - {"noisy_len", "robust_len", "robust2_len"}
         if unknown:
             raise ValueError(f"unknown scenario keys {sorted(unknown)}")
+        missing = {"noisy_len", "robust_len"} - set(spec)
+        if missing:
+            raise ValueError(f"scenario spec missing keys {sorted(missing)}")
         params = ScenarioParams(noisy_len=int(spec["noisy_len"]),
                                 robust_len=int(spec["robust_len"]),
                                 robust2_len=(int(spec["robust2_len"])

@@ -127,6 +127,29 @@ def test_trials_empty_seed_list(tmp_path, capsys):
     assert "seeds" in stderr
 
 
+def test_trials_rejects_duplicate_policy_labels(tmp_path, capsys):
+    # two t-ssd entries would share rows, aggregates and route_t-ssd.dot
+    cfg = write_config(tmp_path / "cfg.json", exec_policies=[
+        {"exec_policy": "t-ssd", "ssd_thres": 1.0},
+        {"exec_policy": "t-ssd", "ssd_thres": 15.0}])
+    out = tmp_path / "o"
+    code, _, stderr = run(capsys, "trials", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "unique" in stderr and "t-ssd" in stderr
+    assert not out.exists()
+
+
+def test_trials_map_spec_missing_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json",
+                       map={"kind": "two-route", "noisy_len": 8})
+    out = tmp_path / "o"
+    code, _, stderr = run(capsys, "trials", str(cfg), "--out", str(out),
+                          "--jobs", "1")
+    assert code == 2
+    assert "robust_len" in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
 def test_trials_missing_config(tmp_path, capsys):
     code, _, stderr = run(capsys, "trials", str(tmp_path / "none.json"))
     assert code == 2

@@ -44,6 +44,9 @@ def test_run_config_validation():
         small_cfg(seeds=[-3])
     with pytest.raises(ValueError):
         small_cfg(exec_policies=[])
+    with pytest.raises(ValueError, match="unique"):
+        small_cfg(exec_policies=[ExecPolicy("t-ssd", 1.0),
+                                 ExecPolicy("t-ssd", 15.0)])
 
 
 def test_load_run_config_defaults_and_strictness():
@@ -71,6 +74,8 @@ def test_resolve_graph_variants(tmp_path, two_route_map):
     with pytest.raises(ValueError):
         resolve_graph(small_cfg(map_source={"kind": "two-route", "noisy_len": 8,
                                             "robust_len": 10, "spare": 1}))
+    with pytest.raises(ValueError, match="robust_len"):
+        resolve_graph(small_cfg(map_source={"kind": "two-route", "noisy_len": 8}))
 
 
 # ---------------------------------------------------------------------------
