@@ -141,7 +141,7 @@ class RoadEnv:
         vec[s] = 1.0
         return vec
 
-    def reset(self, seed=None, episode: int | None = None) -> np.ndarray:
+    def reset(self, seed=None, episode: int | None = None) -> None:
         if seed is not None:
             self._seed = seed
             self.episode = -1
@@ -151,10 +151,10 @@ class RoadEnv:
         self.prev = self.graph.start
         self.steps = 0
         self.done = False
-        return self.observe()
 
     def step(self, action: int):
-        """Advance one step; returns (observation, reward, done)."""
+        """Advance one step; returns (reward, done). ``observe`` encodes the
+        new state on demand."""
         if self.done:
             raise EpisodeFinished("episode is over; call reset()")
         nxt = transition(self.graph, self.current, action)
@@ -163,7 +163,7 @@ class RoadEnv:
         self.current = nxt
         self.steps += 1
         self.done = (nxt in self.graph.goals) or (self.steps >= self.cfg.episode_cap)
-        return self.observe(), reward, self.done
+        return reward, self.done
 
     def at_goal(self) -> bool:
         return self.current in self.graph.goals
@@ -191,8 +191,3 @@ class RoadEnv:
             self.rng = stream_rng(0)
             self.rng.bit_generator.state = state["rng"]
 
-
-def reset(graph: GraphMap, cfg: EnvConfig, seed):
-    """Build an environment and start its first episode."""
-    env = RoadEnv(graph, cfg, seed)
-    return env, env.reset(episode=0)

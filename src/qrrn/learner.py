@@ -110,14 +110,6 @@ class ReplayBuffer:
                            int(self.s_next[i]), bool(self.done[i])) for i in order]
 
 
-def buffer_push(buf: ReplayBuffer, t: Transition) -> None:
-    buf.push(t.s, t.a, t.r, t.s_next, t.done)
-
-
-def buffer_sample(buf: ReplayBuffer, k: int, rng: np.random.Generator) -> Batch:
-    return buf.sample(k, rng)
-
-
 @dataclass
 class AgentConfig:
     n_quantiles: int = 4
@@ -201,8 +193,87 @@ def epsilon(step: int, total_steps: int, cfg: AgentConfig) -> float:
     return 1.0 + (cfg.exploration_final_eps - 1.0) * (step / window)
 
 
+def _greedy(d: np.ndarray):
+    """Argmax over actions of the atom means of d[..., action, atom]; ties
+    go to the lowest index. The sum is divided by n before the argmax, as
+    ndarray.mean does: two sums that round to the same mean must tie."""
+    return (np.add.reduce(d, axis=-1) / d.shape[-1]).argmax(axis=-1)
+
+
+# A head holds the online and target atoms behind one interface: ``params``
+# and ``target`` (live arrays, updated in place), ``names`` (checkpoint
+# names of the online, target, Adam m and Adam v arrays), ``dists``,
+# ``online`` (atoms of the taken actions and a trace for ``grads``),
+# ``bootstrap`` (target atoms of the target-greedy action) and ``grads``.
+
+class TableHead:
+    """Atoms as a dense (state, action, atom) table and its target copy."""
+
+    names = (["theta"], ["theta_target"], ["opt_m"], ["opt_v"])
+
+    def __init__(self, n_states: int, n_actions: int, n: int):
+        self.theta = np.zeros((n_states, n_actions, n))
+        self.theta_target = self.theta.copy()
+        self.params, self.target = [self.theta], [self.theta_target]
+        self._atoms = np.arange(n)[:, None]
+
+    def dists(self, states, target: bool = False) -> np.ndarray:
+        return (self.theta_target if target else self.theta)[states]
+
+    def online(self, states, actions):
+        return self.theta[states, actions], None
+
+    def bootstrap(self, next_states) -> np.ndarray:
+        # one mean over the whole target table; s' picks the rows
+        tt = self.theta_target
+        return tt[next_states, _greedy(tt)[next_states]]
+
+    def grads(self, states, actions, g, trace) -> list:
+        th = self.theta
+        cells = (states * th.shape[1] + actions) * th.shape[2]
+        # bincount adds each cell's terms in batch order, as np.add.at
+        return [np.bincount((cells + self._atoms).ravel(), g.ravel(),
+                            th.size).reshape(th.shape)]
+
+
+class NetHead:
+    """Atoms as the output of a dense network over one-hot states, and a
+    target copy of the network."""
+
+    def __init__(self, n_states: int, n_actions: int, n: int, hidden, seed):
+        self.net = nn.init([n_states, *hidden, n_actions * n], seed)
+        self.net_target = nn.clone(self.net)
+        self.params, self.target = nn.params(self.net), nn.params(self.net_target)
+        layers = range(len(self.net.weights))
+        online = [f"{p}{i}" for i in layers for p in "wb"]
+        slots = range(len(self.params))
+        self.names = (online, ["t" + k for k in online], [f"am{i}" for i in slots],
+                      [f"av{i}" for i in slots])
+        self.shape = (n_actions, n)
+
+    def dists(self, states, target: bool = False) -> np.ndarray:
+        y = nn.forward(self.net_target if target else self.net, states,
+                       onehot=True)
+        return y.reshape(y.shape[:-1] + self.shape)
+
+    def online(self, states, actions):
+        y, trace = nn.forward_trace(self.net, states, onehot=True)
+        return y.reshape(-1, *self.shape)[np.arange(len(y)), actions], trace
+
+    def bootstrap(self, next_states) -> np.ndarray:
+        boot = self.dists(next_states, target=True)
+        return boot[np.arange(len(boot)), _greedy(boot)]
+
+    def grads(self, states, actions, g, trace) -> list:
+        b = len(states)
+        grad_out = np.zeros((b, self.net.output_dim))
+        grad_out.reshape(b, *self.shape)[np.arange(b), actions] = g.T / b
+        return nn.backward(self.net, states, grad_out, onehot=True, trace=trace)
+
+
 class Agent:
-    """QR learner state: online atoms, target copy, replay buffer."""
+    """QR learner state: a head of online and target atoms, its optimizer
+    state and the replay buffer."""
 
     def __init__(self, cfg: AgentConfig, n_states: int, n_actions: int, seed=0):
         if n_states < 1 or n_actions < 1:
@@ -212,39 +283,23 @@ class Agent:
         self.n_actions = n_actions
         self.n = cfg.n_quantiles
         self.taus = midpoints(self.n)
-        self._kernel_consts: dict = {}
+        self._weights: dict = {}
         self.buffer = ReplayBuffer(cfg.buffer_size)
         self.steps_done = 0
         if cfg.backend == "tabular":
-            self.theta = np.zeros((n_states, n_actions, self.n))
-            self.theta_target = self.theta.copy()
-            self.opt_m = np.zeros_like(self.theta)
-            self.opt_v = np.zeros_like(self.theta)
-            self.opt_t = 0
-            self.net = None
-            self.net_target = None
-            self.adam = None
+            self.head = TableHead(n_states, n_actions, self.n)
         else:
-            dims = [n_states, *cfg.hidden, n_actions * self.n]
-            self.theta = None
-            self.theta_target = None
-            self.net = nn.init(dims, seed)
-            self.net_target = nn.clone(self.net)
-            self.adam = nn.AdamState.for_net(self.net)
+            self.head = NetHead(n_states, n_actions, self.n, cfg.hidden, seed)
+        self.adam = nn.AdamState.for_params(self.head.params)
 
     # ----- distribution access ------------------------------------------
 
     def action_dists(self, s: int, target: bool = False) -> np.ndarray:
         """Per-action atoms at state s, shape (n_actions, n_quantiles)."""
-        if self.cfg.backend == "tabular":
-            table = self.theta_target if target else self.theta
-            return table[s]
-        net = self.net_target if target else self.net
-        return nn.forward(net, s, onehot=True).reshape(self.n_actions, self.n)
+        return self.head.dists(s, target)
 
     def greedy_action(self, s: int) -> int:
-        # inline argmax-of-means (policies.greedy_action semantics, hot path)
-        return int(self.action_dists(s).mean(axis=1).argmax())
+        return int(_greedy(self.head.dists(s)))
 
     def behavior_action(self, s: int, step: int, total_steps: int,
                         rng: np.random.Generator) -> int:
@@ -257,32 +312,18 @@ class Agent:
     # ----- updates --------------------------------------------------------
 
     def _residuals(self, batch: Batch):
-        """TD residuals laid out atoms first, u[i, j, b], and the online
-        network's forward trace (None for the table).
+        """TD residuals laid out atoms first, u[i, j, b], and the head's
+        forward trace of the online atoms.
 
         u[i, j, b] = r_b + gamma * theta_target_j(s'_b, a*_b)
         - theta_i(s_b, a_b), with the bootstrap term dropped on terminal
         transitions.
         """
-        b = len(batch)
-        if b == 0:
+        if len(batch) == 0:
             raise EmptyBatch("batch is empty")
-        rows = self._consts(b)[0]
-        if self.cfg.backend == "tabular":
-            th = self.theta[batch.s, batch.a]
-            # bootstrap atoms of every state; s' picks the rows
-            boot, nxt = self.theta_target, batch.s_next
-            trace = None
-        else:
-            y, trace = nn.forward_trace(self.net, batch.s, onehot=True)
-            th = y.reshape(b, self.n_actions, self.n)[rows, batch.a]
-            boot = nn.forward(self.net_target, batch.s_next, onehot=True
-                              ).reshape(b, self.n_actions, self.n)
-            nxt = rows
-        # mean over the contiguous atom axis, as ndarray.mean sums it
-        a_star = (np.add.reduce(boot, axis=-1) / self.n).argmax(axis=1)
-        target = boot[nxt, a_star[nxt]].T * np.where(batch.done, 0.0,
-                                                     self.cfg.gamma)
+        th, trace = self.head.online(batch.s, batch.a)
+        target = self.head.bootstrap(batch.s_next).T * np.where(
+            batch.done, 0.0, self.cfg.gamma)
         target += batch.r
         return target[None, :, :] - th.T[:, None, :], trace
 
@@ -312,51 +353,29 @@ class Agent:
         at the same pace as frequently visited ones. The network backend
         takes one batch-mean gradient. Target parameters are untouched.
         """
-        b = len(batch)
         u, trace = self._residuals(batch)
-        rows, atoms, weights = self._consts(b)
-        g, loss = _quantile_step(u, weights, self.cfg.kappa)
-        if self.cfg.backend == "tabular":
-            cells = (batch.s * self.n_actions + batch.a) * self.n
-            # bincount adds each cell's terms in batch order, as np.add.at
-            grad = np.bincount((cells + atoms).ravel(), g.ravel(),
-                               self.theta.size).reshape(self.theta.shape)
-            if self.cfg.optimizer == "sgd":
-                self.theta -= self.cfg.lr * grad
-            else:
-                self.opt_t += 1
-                nn.adam_update(self.theta, grad, self.opt_m, self.opt_v,
-                               self.opt_t, self.cfg.lr)
+        g, loss = _quantile_step(u, self._kernel_weights(len(batch)),
+                                 self.cfg.kappa)
+        grads = self.head.grads(batch.s, batch.a, g, trace)
+        if self.cfg.optimizer == "adam":
+            nn.adam_step(self.head.params, grads, self.adam, self.cfg.lr)
         else:
-            grad_out = np.zeros((b, self.n_actions * self.n))
-            cols = batch.a[:, None] * self.n + atoms.T
-            grad_out[rows[:, None], cols] = g.T / b
-            grads = nn.backward(self.net, batch.s, grad_out, onehot=True,
-                                trace=trace)
-            if self.cfg.optimizer == "adam":
-                nn.adam_step(self.net, grads, self.adam, self.cfg.lr)
-            else:
-                nn.sgd_step(self.net, grads, self.cfg.lr)
+            nn.sgd_step(self.head.params, grads, self.cfg.lr)
         return loss
 
-    def _consts(self, b: int):
-        """Batch row indices, atom indices as a column, and the kernel's
-        (n, n, b) weights 1 - tau_i and tau_i for batch size b, built on
-        first use."""
-        if b not in self._kernel_consts:
+    def _kernel_weights(self, b: int):
+        """The kernel's (n, n, b) weights 1 - tau_i and tau_i for batch
+        size b, built on first use."""
+        if b not in self._weights:
             col = self.taus.reshape(-1, 1, 1)
             shape = (self.n, self.n, b)
-            weights = (np.broadcast_to(1.0 - col, shape).copy(),
-                       np.broadcast_to(col, shape).copy())
-            self._kernel_consts[b] = (np.arange(b), np.arange(self.n)[:, None],
-                                      weights)
-        return self._kernel_consts[b]
+            self._weights[b] = (np.broadcast_to(1.0 - col, shape).copy(),
+                                np.broadcast_to(col, shape).copy())
+        return self._weights[b]
 
     def sync_target(self) -> None:
-        if self.cfg.backend == "tabular":
-            np.copyto(self.theta_target, self.theta)
-        else:
-            self.net_target = nn.clone(self.net)
+        for t, p in zip(self.head.target, self.head.params):
+            np.copyto(t, p)
 
 
 def _quantile_step(u: np.ndarray, weights, kappa: float):
@@ -386,22 +405,3 @@ def _quantile_step(u: np.ndarray, weights, kappa: float):
     np.subtract(u, psi, out=psi)
     loss = float(np.dot(terms.ravel(), psi.ravel())) / (n * u.shape[2])
     return g, loss
-
-
-# functional aliases over the agent methods --------------------------------
-
-def behavior_action(agent: Agent, s: int, step: int, total_steps: int,
-                    rng: np.random.Generator) -> int:
-    return agent.behavior_action(s, step, total_steps, rng)
-
-
-def td_deltas(batch: Batch, agent: Agent) -> np.ndarray:
-    return agent.td_deltas(batch)
-
-
-def qr_update(agent: Agent, batch: Batch) -> float:
-    return agent.qr_update(batch)
-
-
-def sync_target(agent: Agent) -> None:
-    agent.sync_target()

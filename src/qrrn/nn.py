@@ -171,35 +171,27 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_net(cls, net: DenseNet) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params(net)],
-                   v=[np.zeros_like(p) for p in params(net)])
+    def for_params(cls, ps) -> "AdamState":
+        return cls(m=[np.zeros_like(p) for p in ps],
+                   v=[np.zeros_like(p) for p in ps])
 
 
-def adam_update(p, g, m, v, t: int, lr: float, beta1: float = 0.9,
-                beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Adam step ``t`` (1-based) with bias correction on one parameter
-    array and its moments, in place."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    p -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
-
-
-def adam_step(net: DenseNet, grads, state: AdamState, lr: float) -> None:
-    """One Adam update with bias correction, in place."""
-    ps = params(net)
+def adam_step(ps, grads, state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction of a parameter list, in place."""
     if len(grads) != len(ps):
         raise DimMismatch("gradient list does not match parameter list")
     state.t += 1
+    b1, b2, t = state.beta1, state.beta2, state.t
     for p, g, m, v in zip(ps, grads, state.m, state.v):
-        adam_update(p, g, m, v, state.t, lr, state.beta1, state.beta2,
-                    state.eps)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps)
 
 
-def sgd_step(net: DenseNet, grads, lr: float) -> None:
-    ps = params(net)
+def sgd_step(ps, grads, lr: float) -> None:
+    """Plain gradient step p <- p - lr * g on a parameter list, in place."""
     if len(grads) != len(ps):
         raise DimMismatch("gradient list does not match parameter list")
     for p, g in zip(ps, grads):

@@ -55,19 +55,18 @@ def top2(dists):
     return a1, a2
 
 
-def ssd_action(dists, tie_tol: float = 0.0) -> int:
+def ssd_action(dists) -> int:
     """Greedy with exact-tie fallback to the smaller raw second moment.
 
-    ``tie_tol`` widens the tie test for callers that want to treat nearly
-    equal means as ties; the default 0 means bit-equality, under which this
-    rule behaves identically to greedy on trained values.
+    Only bit-equal means tie, so on trained values this rule behaves
+    identically to greedy.
     """
     d = _dists(dists)
     if d.shape[0] == 1:
         return 0
     a1, a2 = top2(d)
     means = d.mean(axis=1)
-    if means[a1] - means[a2] > tie_tol:
+    if means[a1] - means[a2] > 0.0:
         return a1
     raw = (d * d).mean(axis=1)
     return a1 if raw[a1] <= raw[a2] else a2

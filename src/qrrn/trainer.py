@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import nn
 from .env import EnvConfig, RoadEnv, stream_rng
 from .learner import Agent, AgentConfig
 from .policies import ExecPolicy
@@ -191,7 +190,7 @@ def evaluate(agent: Agent, policy: ExecPolicy, graph: GraphMap,
     done = env.done
     while not done:
         a = policy.select(agent.action_dists(env.current))
-        _, r, done = env.step(a)
+        r, done = env.step(a)
         actions.append(a)
         rewards.append(r)
         visited.append(env.current)
@@ -243,7 +242,7 @@ def train_one(cfg: RunConfig, seed: int, *, graph: GraphMap | None = None,
 
     ``stop_at`` ends the loop early after that step (checkpointing there
     when ``checkpoint_path`` is given); ``resume`` continues bit-exactly
-    from a checkpoint produced that way.
+    from a checkpoint produced that way, for the same seed and config.
     """
     if graph is None:
         graph = resolve_graph(cfg)
@@ -257,6 +256,11 @@ def train_one(cfg: RunConfig, seed: int, *, graph: GraphMap | None = None,
             raise CorruptCheckpoint(
                 "checkpoint lacks training state (env/rng); only checkpoints "
                 "written by train_one can be resumed")
+        if seed != ck.header["seed"]:
+            raise ValueError(f"resume seed {seed} differs from the "
+                             f"checkpoint's seed {ck.header['seed']}")
+        if json.loads(json.dumps(cfg.to_dict())) != ck.header["config"].get("run"):
+            raise ValueError("resume config differs from the checkpoint's")
         agent = ck.build_agent()
         env = RoadEnv(graph, cfg.env, (seed, STREAM_TRAIN_ENV))
         env.set_state(ck.header["env_state"])
@@ -280,7 +284,7 @@ def train_one(cfg: RunConfig, seed: int, *, graph: GraphMap | None = None,
     for step in range(start_step + 1, last + 1):
         s = env.current
         a = agent.behavior_action(s, step - 1, cfg.total_steps, train_rng)
-        _, r, done = env.step(a)
+        r, done = env.step(a)
         agent.buffer.push(s, a, r, env.current, env.at_goal())
         agent.steps_done = step
         if len(agent.buffer) >= cfg.agent.batch_size:
@@ -359,9 +363,8 @@ def aggregate_rows(rows, policies, seeds) -> list:
 
 
 def _trial_job(args):
-    cfg_doc, seed, checkpoint_path = args
-    cfg = load_run_config(cfg_doc)
-    res = train_one(cfg, seed, checkpoint_path=checkpoint_path)
+    cfg, graph, seed, checkpoint_path = args
+    res = train_one(cfg, seed, graph=graph, checkpoint_path=checkpoint_path)
     traces = {label: t.visited for label, t in res.final_traces.items()}
     return seed, res.rows, traces
 
@@ -373,11 +376,12 @@ def run_trials(cfg: RunConfig, jobs: int = 1,
     Trials are independent (per-seed RNG streams), so results do not
     depend on ``jobs`` or on which other seeds are present.
     """
+    graph = resolve_graph(cfg)
     args = []
     for seed in cfg.seeds:
         path = (f"{checkpoint_dir}/checkpoint_seed{seed}.qrrn"
                 if checkpoint_dir is not None else None)
-        args.append((cfg.to_dict(), int(seed), path))
+        args.append((cfg, graph, int(seed), path))
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_trial_job, args))
@@ -492,23 +496,11 @@ class Checkpoint:
         h = self.header
         cfg = AgentConfig.from_dict(h["config"]["agent"])
         agent = Agent(cfg, h["dims"]["n_states"], h["dims"]["n_actions"])
-        if cfg.backend == "tabular":
-            agent.theta = self.arrays["theta"].copy()
-            agent.theta_target = self.arrays["theta_target"].copy()
-            agent.opt_m = self.arrays["opt_m"].copy()
-            agent.opt_v = self.arrays["opt_v"].copy()
-            agent.opt_t = int(h["adam_t"] or 0)
-        else:
-            for i in range(len(agent.net.weights)):
-                agent.net.weights[i] = self.arrays[f"w{i}"].copy()
-                agent.net.biases[i] = self.arrays[f"b{i}"].copy()
-                agent.net_target.weights[i] = self.arrays[f"tw{i}"].copy()
-                agent.net_target.biases[i] = self.arrays[f"tb{i}"].copy()
-            agent.adam = nn.AdamState.for_net(agent.net)
-            agent.adam.t = int(h["adam_t"])
-            for i in range(len(agent.adam.m)):
-                agent.adam.m[i] = self.arrays[f"am{i}"].copy()
-                agent.adam.v[i] = self.arrays[f"av{i}"].copy()
+        for name, arr in _learner_arrays(agent):
+            if self.arrays[name].shape != arr.shape:
+                raise CorruptCheckpoint(f"array {name} does not match dims")
+            np.copyto(arr, self.arrays[name])
+        agent.adam.t = int(h["adam_t"] or 0)
         buf = agent.buffer
         meta = h["buffer"]
         if meta["capacity"] != buf.capacity:
@@ -527,24 +519,20 @@ class Checkpoint:
         return map_from_dict(self.header["config"]["map_document"])
 
 
+def _learner_arrays(agent: Agent) -> list:
+    """(name, live array) pairs of the head's online and target parameters
+    and their Adam moments, in file order (m and v alternate per slot)."""
+    h = agent.head
+    online, target, m_names, v_names = h.names
+    pairs = [*zip(online, h.params), *zip(target, h.target)]
+    for m_name, m, v_name, v in zip(m_names, agent.adam.m, v_names,
+                                    agent.adam.v):
+        pairs += [(m_name, m), (v_name, v)]
+    return pairs
+
+
 def _agent_arrays(agent: Agent) -> dict:
-    arrays = {}
-    if agent.cfg.backend == "tabular":
-        arrays["theta"] = agent.theta
-        arrays["theta_target"] = agent.theta_target
-        arrays["opt_m"] = agent.opt_m
-        arrays["opt_v"] = agent.opt_v
-    else:
-        for i, (w, b) in enumerate(zip(agent.net.weights, agent.net.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
-        for i, (w, b) in enumerate(zip(agent.net_target.weights,
-                                       agent.net_target.biases)):
-            arrays[f"tw{i}"] = w
-            arrays[f"tb{i}"] = b
-        for i, (m, v) in enumerate(zip(agent.adam.m, agent.adam.v)):
-            arrays[f"am{i}"] = m
-            arrays[f"av{i}"] = v
+    arrays = dict(_learner_arrays(agent))
     buf = agent.buffer
     arrays["buf_s"] = buf.s.astype(float)
     arrays["buf_a"] = buf.a.astype(float)
@@ -576,7 +564,7 @@ def save_checkpoint(agent: Agent, path: str, *, run_cfg: RunConfig | None = None
         "config": config,
         "dims": {"n_states": agent.n_states, "n_actions": agent.n_actions,
                  "n_quantiles": agent.n},
-        "adam_t": agent.opt_t if agent.cfg.backend == "tabular" else agent.adam.t,
+        "adam_t": agent.adam.t,
         "buffer": {"size": agent.buffer.size, "cursor": agent.buffer.cursor,
                    "capacity": agent.buffer.capacity},
         "rng": {

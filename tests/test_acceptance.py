@@ -143,7 +143,7 @@ def test_criterion_4_quantile_convergence_to_ground_truth():
     samples = truncated_normal_samples(1_000_000, -3.0, 1.0, -6.0, 0.0,
                                        oracle_rng)
     want = empirical_quantiles(samples, 4)
-    got = np.sort(agent.theta[0, 0])
+    got = np.sort(agent.head.theta[0, 0])
     err = float(np.abs(got - want).max())
     elapsed = time.time() - t0
     ok = err <= 0.1 and elapsed <= 30
@@ -231,8 +231,10 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     train_one(cfg, 1, stop_at=3000, checkpoint_path=ck)
     resumed = train_one(cfg, 1, resume=ck)
     split_ok = (resumed.rows == full.rows
-                and np.array_equal(resumed.agent.theta, full.agent.theta)
-                and np.array_equal(resumed.agent.opt_m, full.agent.opt_m)
+                and np.array_equal(resumed.agent.head.theta,
+                                   full.agent.head.theta)
+                and np.array_equal(resumed.agent.adam.m[0],
+                                   full.agent.adam.m[0])
                 and np.array_equal(resumed.agent.buffer.r,
                                    full.agent.buffer.r))
     report(9, same_csv and split_ok,

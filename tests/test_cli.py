@@ -264,8 +264,8 @@ def test_inspect_shows_policy_disagreement(tmp_path, capsys):
     # a near-tied fork: greedy takes the higher mean, t-ssd the lower
     # variance, and inspect must surface both choices
     agent = Agent(AgentConfig(), 3, 2)
-    agent.theta[0, 0] = [-14.0, -10.0, -6.0, -2.0]
-    agent.theta[0, 1] = [-10.0, -10.0, -10.0, -10.0]
+    agent.head.theta[0, 0] = [-14.0, -10.0, -6.0, -2.0]
+    agent.head.theta[0, 1] = [-10.0, -10.0, -10.0, -10.0]
     path = tmp_path / "fork.qrrn"
     save_checkpoint(agent, str(path))
     code, stdout, _ = run(capsys, "inspect", str(path), "--state", "0",

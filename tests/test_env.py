@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qrrn.env import (EnvConfig, EpisodeFinished, RoadEnv, reset,
-                      reward_sample, stream_rng, trunc_normal)
+from qrrn.env import (EnvConfig, EpisodeFinished, RoadEnv, reward_sample,
+                      stream_rng, trunc_normal)
 from qrrn.oracle import truncated_normal_moments
 from qrrn.roadnet import InvalidAction, build_map
 
@@ -63,7 +63,7 @@ def test_reward_support_property(two_route_map):
     allowed_points = {0.0, -3.0, -21.0}
     for _ in range(2000):
         a = int(rng.integers(two_route_map.action_dim))
-        _, r, done = env.step(a)
+        r, done = env.step(a)
         assert r in allowed_points or -6.0 <= r <= 0.0
         if done:
             env.reset()
@@ -102,9 +102,11 @@ def test_trunc_normal_validation():
 
 def test_reset_determinism(two_route_map):
     cfg = EnvConfig(r_base=3.0, r_loopback=18.0)
-    env1, obs1 = reset(two_route_map, cfg, 42)
-    env2, obs2 = reset(two_route_map, cfg, 42)
-    np.testing.assert_array_equal(obs1, obs2)
+    env1 = RoadEnv(two_route_map, cfg, 42)
+    env2 = RoadEnv(two_route_map, cfg, 42)
+    env1.reset(episode=0)
+    env2.reset(episode=0)
+    np.testing.assert_array_equal(env1.observe(), env2.observe())
     assert (env1.current, env1.steps, env1.done) == (env2.current, env2.steps,
                                                      env2.done)
     rng = stream_rng(1)
@@ -114,7 +116,7 @@ def test_reset_determinism(two_route_map):
         for a in actions:
             if env.done:
                 env.reset()
-            trace.append(env.step(a)[1])
+            trace.append(env.step(a)[0])
     assert trace1 == trace2   # bit-exact reward replay
 
 
@@ -123,7 +125,8 @@ def test_one_hot_observation():
                   [(3, i, i if i < 3 else i - 1) for i in range(12) if i != 3],
                   start=3, goals={5})
     env = RoadEnv(m, EnvConfig(), seed=0)
-    obs = env.reset()
+    env.reset()
+    obs = env.observe()
     assert obs.shape == (12,)
     assert obs[3] == 1.0 and obs.sum() == 1.0
     np.testing.assert_array_equal(obs, env.observe(3))
@@ -147,9 +150,9 @@ def test_observation_deterministic_across_episodes(two_route_map):
 def test_goal_step_reward_and_done(chain2_map):
     env = RoadEnv(chain2_map, EnvConfig(r_base=3.0), seed=0)
     env.reset()
-    _, r, done = env.step(0)
+    r, done = env.step(0)
     assert (r, done) == (-3.0, False)
-    _, r, done = env.step(0)
+    r, done = env.step(0)
     assert (r, done) == (0.0, True)
     assert env.at_goal()
     with pytest.raises(EpisodeFinished):
@@ -165,7 +168,7 @@ def test_episode_cap_terminates():
     done = False
     steps = 0
     while not done:
-        _, _, done = env.step(0)   # action 0 at node 1 is a loopback
+        _, done = env.step(0)   # action 0 at node 1 is a loopback
         steps += 1
     assert steps == 5 and not env.at_goal()
 
@@ -192,8 +195,8 @@ def test_env_state_snapshot_roundtrip(two_route_map):
     snap = env.get_state()
     ref = RoadEnv(two_route_map, cfg, seed=8)
     ref.set_state(snap)
-    seq_a = [env.step(0)[1] for _ in range(3)]
-    seq_b = [ref.step(0)[1] for _ in range(3)]
+    seq_a = [env.step(0)[0] for _ in range(3)]
+    seq_b = [ref.step(0)[0] for _ in range(3)]
     assert seq_a == seq_b
 
 

@@ -3,7 +3,9 @@
 Each case runs a short two-seed study through ``run_trials`` and pins the
 sha256 of ``curves.csv``, ``aggregate.csv`` and of every seed's checkpoint
 arrays (names, shapes and float64 bytes, as ``read_checkpoint`` returns
-them). A change that moves any output byte fails here, even if reruns
+them). Seed 1's checkpoint is also pinned as a whole file, header and
+arrays in their written order, which the sorted array digest cannot see.
+A change that moves any output byte fails here, even if reruns
 still agree with each other. A PR that changes numbers on purpose
 regenerates the table with ``python tests/test_golden.py`` and says so in
 CHANGES.md.
@@ -50,6 +52,8 @@ GOLDEN = {
             "f623b0df457c83fb693bac095d365ee9c7b7b3a65038ed52822ab8623ca4f33a",
         "checkpoint_seed2":
             "46f9122b2d47b06272189fec63c564567dfc956f8d099f8d29bb678d301aa3ff",
+        "checkpoint_seed1.qrrn":
+            "fc505fed8192214c904a0ec8fdb60a5d7a3958eaed49cdaaa93667b740eb5c2a",
     },
     "two-route-network": {
         "curves.csv":
@@ -60,6 +64,8 @@ GOLDEN = {
             "b29244e92c9d7b34188a746df6b6f46ed3d3fcdd48df17af8d7fae2b15bccc47",
         "checkpoint_seed2":
             "d383fad289b3baf62946860bb652b26d5ba7cbf5941b5f7c6c1a5f030e4c3965",
+        "checkpoint_seed1.qrrn":
+            "de4115f0d4cee8286f1f5ed690dfa358155c167f6df2044c21abcff602777523",
     },
     "three-route-tabular": {
         "curves.csv":
@@ -70,6 +76,8 @@ GOLDEN = {
             "0187d5933d69f8b79400d60efe276abe3038c7f3e3bfd7bbf1ba0165f5b63a7d",
         "checkpoint_seed2":
             "a593d096fb61319d8a1f700c8f5ec4c666dc061db7960e55299e5b7ca545614a",
+        "checkpoint_seed1.qrrn":
+            "e4b6974d061c8826355a42e960e305f9be0651d927d8481c31fcb5f65bb99d2a",
     },
     "two-route-tabular-n9-sgd": {
         "curves.csv":
@@ -80,6 +88,8 @@ GOLDEN = {
             "8f1fd233deebe24f83488be2dd0db2f4435fb9752d147c7fa32ad0097874ed20",
         "checkpoint_seed2":
             "aa9e551b5007a72312338ef5501876bd92147b5d6ad46d47eccefd9e61a4c5fb",
+        "checkpoint_seed1.qrrn":
+            "9682d1230236de3d520763601ca4ed21fbcca28ad6350f32d1d7335e2c148d50",
     },
     "two-route-network-n9": {
         "curves.csv":
@@ -90,6 +100,8 @@ GOLDEN = {
             "237772a8b1bfc13112b834aaa7aaadfc297486f095748cb584ea550633bf7b00",
         "checkpoint_seed2":
             "b3d8bff295b0b866a272848a760b1c7a279485ca97a0d5af5a8f706b815b985b",
+        "checkpoint_seed1.qrrn":
+            "dc31109b63460762a0bbb2227874bb77ad8200598d3de5600249c517e07ff672",
     },
 }
 
@@ -119,6 +131,8 @@ def study_digests(name: str, out_dir) -> dict:
     for seed in cfg.seeds:
         ck = read_checkpoint(f"{out_dir}/checkpoint_seed{seed}.qrrn")
         out[f"checkpoint_seed{seed}"] = arrays_digest(ck.arrays)
+    with open(f"{out_dir}/checkpoint_seed1.qrrn", "rb") as fh:
+        out["checkpoint_seed1.qrrn"] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 

@@ -4,8 +4,7 @@ import pytest
 from qrrn import nn
 from qrrn.env import EnvConfig, stream_rng
 from qrrn.learner import (Agent, AgentConfig, Batch, EmptyBatch, EmptyBuffer,
-                          ReplayBuffer, Transition, buffer_push, buffer_sample,
-                          epsilon, qr_update, sync_target, td_deltas)
+                          ReplayBuffer, Transition, epsilon)
 from qrrn.oracle import value_iteration
 
 
@@ -74,7 +73,7 @@ def test_behavior_uniform_at_full_exploration():
 
 def test_behavior_greedy_when_eps_zero():
     agent = Agent(cfg(exploration_final_eps=0.0), n_states=2, n_actions=3)
-    agent.theta[0, 2, :] = 5.0
+    agent.head.theta[0, 2, :] = 5.0
     rng = stream_rng(1)
     assert all(agent.behavior_action(0, 90, 100, rng) == 2 for _ in range(50))
 
@@ -94,43 +93,43 @@ def test_behavior_reproducible():
 
 def test_td_deltas_terminal_converged_is_zero():
     agent = Agent(cfg(), n_states=2, n_actions=1)
-    agent.theta[0, 0] = -3.0
+    agent.head.theta[0, 0] = -3.0
     b = batch_of(Transition(0, 0, -3.0, 1, True))
-    np.testing.assert_allclose(td_deltas(b, agent), np.zeros((1, 4, 4)),
+    np.testing.assert_allclose(agent.td_deltas(b), np.zeros((1, 4, 4)),
                                atol=1e-15)
 
 
 def test_td_deltas_single_atom_fixture():
     agent = Agent(cfg(n_quantiles=1, gamma=0.99), n_states=2, n_actions=1)
-    agent.theta[0, 0] = [-5.0]
-    agent.theta_target[1, 0] = [-10.0]
+    agent.head.theta[0, 0] = [-5.0]
+    agent.head.theta_target[1, 0] = [-10.0]
     b = batch_of(Transition(0, 0, -1.0, 1, False))
-    np.testing.assert_allclose(td_deltas(b, agent), [[[-5.9]]], atol=1e-12)
+    np.testing.assert_allclose(agent.td_deltas(b), [[[-5.9]]], atol=1e-12)
 
 
 def test_td_deltas_two_atom_hand_expansion():
     agent = Agent(cfg(n_quantiles=2, gamma=0.5), n_states=2, n_actions=1)
-    agent.theta[0, 0] = [0.0, 1.0]
-    agent.theta_target[1, 0] = [2.0, 4.0]
+    agent.head.theta[0, 0] = [0.0, 1.0]
+    agent.head.theta_target[1, 0] = [2.0, 4.0]
     b = batch_of(Transition(0, 0, 1.0, 1, False))
-    np.testing.assert_allclose(td_deltas(b, agent),
+    np.testing.assert_allclose(agent.td_deltas(b),
                                [[[2.0, 3.0], [1.0, 2.0]]], atol=1e-12)
 
 
 def test_td_deltas_bootstrap_uses_target_argmax():
     agent = Agent(cfg(n_quantiles=1, gamma=1.0 - 1e-9), n_states=2,
                   n_actions=2)
-    agent.theta_target[1, 0] = [-4.0]
-    agent.theta_target[1, 1] = [-2.0]   # larger mean: bootstrap action
-    agent.theta[1, 0] = [99.0]          # online values must be ignored
+    agent.head.theta_target[1, 0] = [-4.0]
+    agent.head.theta_target[1, 1] = [-2.0]   # larger mean: bootstrap action
+    agent.head.theta[1, 0] = [99.0]          # online values must be ignored
     b = batch_of(Transition(0, 0, 0.0, 1, False))
-    assert td_deltas(b, agent)[0, 0, 0] == pytest.approx(-2.0, abs=1e-6)
+    assert agent.td_deltas(b)[0, 0, 0] == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_td_deltas_empty_batch():
     agent = Agent(cfg(), n_states=2, n_actions=1)
     with pytest.raises(EmptyBatch):
-        td_deltas(batch_of(), agent)
+        agent.td_deltas(batch_of())
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +138,12 @@ def test_td_deltas_empty_batch():
 def test_qr_update_zero_residual_fixed_point():
     for optimizer in ("sgd", "adam"):
         agent = Agent(cfg(optimizer=optimizer), n_states=2, n_actions=1)
-        agent.theta[0, 0] = -1.0
+        agent.head.theta[0, 0] = -1.0
         agent.sync_target()
-        before = agent.theta.copy()
-        loss = qr_update(agent, batch_of(Transition(0, 0, -1.0, 1, True)))
+        before = agent.head.theta.copy()
+        loss = agent.qr_update(batch_of(Transition(0, 0, -1.0, 1, True)))
         assert loss == 0.0
-        np.testing.assert_array_equal(agent.theta, before)
+        np.testing.assert_array_equal(agent.head.theta, before)
 
 
 def test_qr_update_point_mass_bandit_sgd():
@@ -152,16 +151,16 @@ def test_qr_update_point_mass_bandit_sgd():
     agent = Agent(cfg(lr=1e-2, optimizer="sgd"), n_states=1, n_actions=1)
     b = batch_of(Transition(0, 0, -1.0, 0, True))
     for _ in range(10_000):
-        qr_update(agent, b)
-    np.testing.assert_allclose(agent.theta[0, 0], -1.0, atol=1e-2)
+        agent.qr_update(b)
+    np.testing.assert_allclose(agent.head.theta[0, 0], -1.0, atol=1e-2)
 
 
 def test_qr_update_moves_toward_target_adam():
     agent = Agent(cfg(lr=1e-2, optimizer="adam"), n_states=1, n_actions=1)
     b = batch_of(Transition(0, 0, -1.0, 0, True))
     for _ in range(2_000):
-        qr_update(agent, b)
-    np.testing.assert_allclose(agent.theta[0, 0], -1.0, atol=0.05)
+        agent.qr_update(b)
+    np.testing.assert_allclose(agent.head.theta[0, 0], -1.0, atol=0.05)
 
 
 def test_qr_update_tn_bandit_quantiles_sgd():
@@ -180,10 +179,10 @@ def test_qr_update_tn_bandit_quantiles_sgd():
         b = Batch(s=np.zeros(16, np.int64), a=np.zeros(16, np.int64),
                   r=rs, s_next=np.zeros(16, np.int64),
                   done=np.ones(16, bool))
-        qr_update(agent, b)
+        agent.qr_update(b)
     want = [truncated_normal_quantile(t, -3.0, 1.0, -6.0, 0.0)
             for t in (0.125, 0.375, 0.625, 0.875)]
-    np.testing.assert_allclose(np.sort(agent.theta[0, 0]), want, atol=0.15)
+    np.testing.assert_allclose(np.sort(agent.head.theta[0, 0]), want, atol=0.15)
 
 
 def test_qr_update_loss_value_matches_manual():
@@ -191,14 +190,14 @@ def test_qr_update_loss_value_matches_manual():
 
     agent = Agent(cfg(n_quantiles=2, gamma=0.5, optimizer="sgd"),
                   n_states=2, n_actions=1)
-    agent.theta[0, 0] = [0.0, 1.0]
-    agent.theta_target[1, 0] = [2.0, 4.0]
+    agent.head.theta[0, 0] = [0.0, 1.0]
+    agent.head.theta_target[1, 0] = [2.0, 4.0]
     b = batch_of(Transition(0, 0, 1.0, 1, False))
     deltas = np.array([[2.0, 3.0], [1.0, 2.0]])
     taus = midpoints(2)
     want = sum(quantile_huber(deltas[i, j], taus[i], 1.0) / 2
                for i in range(2) for j in range(2))
-    assert qr_update(agent, b) == pytest.approx(want, rel=1e-12)
+    assert agent.qr_update(b) == pytest.approx(want, rel=1e-12)
 
 
 def test_tabular_sgd_matches_linear_net_sgd():
@@ -210,20 +209,20 @@ def test_tabular_sgd_matches_linear_net_sgd():
                  n_states, n_actions)
     rng = stream_rng(3)
     theta0 = rng.normal(size=(n_states, n_actions, n))
-    tab.theta = theta0.copy()
+    tab.head.theta[:] = theta0
     w0 = np.zeros((n_actions * n, n_states))
     for s in range(n_states):
         w0[:, s] = theta0[s].reshape(-1)
-    neta.net.weights[0] = w0.copy()
-    neta.net.biases[0] = np.zeros(n_actions * n)
+    neta.head.net.weights[0][:] = w0
+    neta.head.net.biases[0][:] = 0.0
     tab.sync_target()
     neta.sync_target()
 
     t = Transition(0, 1, -2.0, 2, False)
-    qr_update(tab, batch_of(t))
-    qr_update(neta, batch_of(t))
-    delta_tab = tab.theta - theta0
-    delta_w = neta.net.weights[0] - w0
+    tab.qr_update(batch_of(t))
+    neta.qr_update(batch_of(t))
+    delta_tab = tab.head.theta - theta0
+    delta_w = neta.head.net.weights[0] - w0
     for s in range(n_states):
         np.testing.assert_allclose(delta_w[:, s], delta_tab[s].reshape(-1),
                                    atol=1e-8)
@@ -237,18 +236,18 @@ def test_mean_consistency_single_atom_matches_value_iteration(chain2_map):
     batch = batch_of(Transition(0, 0, -1.0, 1, False),
                      Transition(1, 0, 0.0, 2, True))
     for _ in range(2_000):
-        qr_update(agent, batch)
-        sync_target(agent)
-    assert agent.theta[0, 0, 0] == pytest.approx(q_star[0, 0], abs=1e-2)
-    assert agent.theta[1, 0, 0] == pytest.approx(q_star[1, 0], abs=1e-2)
+        agent.qr_update(batch)
+        agent.sync_target()
+    assert agent.head.theta[0, 0, 0] == pytest.approx(q_star[0, 0], abs=1e-2)
+    assert agent.head.theta[1, 0, 0] == pytest.approx(q_star[1, 0], abs=1e-2)
 
 
 def test_network_output_layout_is_action_major():
     # action a's n_quantiles atoms occupy output slots a*n .. a*n + n - 1
     agent = Agent(cfg(backend="network", hidden=(), n_quantiles=3),
                   n_states=2, n_actions=2, seed=0)
-    agent.net.weights[0][:] = 0.0
-    agent.net.biases[0][:] = np.arange(6, dtype=float)
+    agent.head.net.weights[0][:] = 0.0
+    agent.head.net.biases[0][:] = np.arange(6, dtype=float)
     np.testing.assert_array_equal(agent.action_dists(0),
                                   [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
 
@@ -258,27 +257,27 @@ def test_network_update_runs_and_reduces_loss():
                   n_states=4, n_actions=2, seed=0)
     b = batch_of(Transition(0, 0, -1.0, 1, True),
                  Transition(1, 1, -2.0, 2, True))
-    first = qr_update(agent, b)
+    first = agent.qr_update(b)
     for _ in range(500):
-        last = qr_update(agent, b)
+        last = agent.qr_update(b)
     assert last < first
 
 
 def test_sync_target():
     agent = Agent(cfg(), n_states=2, n_actions=1)
-    agent.theta[0, 0] = 3.0
-    assert not np.array_equal(agent.theta, agent.theta_target)
-    sync_target(agent)
-    np.testing.assert_array_equal(agent.theta, agent.theta_target)
+    agent.head.theta[0, 0] = 3.0
+    assert not np.array_equal(agent.head.theta, agent.head.theta_target)
+    agent.sync_target()
+    np.testing.assert_array_equal(agent.head.theta, agent.head.theta_target)
 
     netagent = Agent(cfg(backend="network", hidden=(8,)), 4, 2, seed=1)
     b = batch_of(Transition(0, 0, -1.0, 1, True))
     for _ in range(20):
-        qr_update(netagent, b)
+        netagent.qr_update(b)
     dist_on = netagent.action_dists(0)
     dist_t = netagent.action_dists(0, target=True)
     assert not np.allclose(dist_on, dist_t)
-    sync_target(netagent)
+    netagent.sync_target()
     np.testing.assert_allclose(netagent.action_dists(0, target=True), dist_on,
                                atol=1e-14)
 
@@ -294,7 +293,7 @@ def test_update_determinism():
             buf.push(int(rng.integers(3)), int(rng.integers(2)),
                      float(rng.normal()), int(rng.integers(3)), False)
             if len(buf) >= 32:
-                run.append(qr_update(agent, buf.sample(32, rng)))
+                run.append(agent.qr_update(buf.sample(32, rng)))
         losses.append(run)
     assert losses[0] == losses[1]
 
@@ -305,7 +304,7 @@ def test_update_determinism():
 def test_buffer_fifo_overwrite():
     buf = ReplayBuffer(2)
     for i in range(3):
-        buffer_push(buf, Transition(i, 0, float(i), i, False))
+        buf.push(i, 0, float(i), i, False)
     assert len(buf) == 2
     held = {t.s for t in buf.contents()}
     assert held == {1, 2}
@@ -314,8 +313,8 @@ def test_buffer_fifo_overwrite():
 
 def test_buffer_sample_with_replacement():
     buf = ReplayBuffer(8)
-    buffer_push(buf, Transition(7, 1, -1.0, 3, True))
-    got = buffer_sample(buf, 64, stream_rng(0))
+    buf.push(7, 1, -1.0, 3, True)
+    got = buf.sample(64, stream_rng(0))
     assert len(got) == 64
     assert np.all(got.s == 7) and np.all(got.done)
 
@@ -323,7 +322,7 @@ def test_buffer_sample_with_replacement():
 def test_buffer_sample_uniform():
     buf = ReplayBuffer(16)
     for i in range(16):
-        buffer_push(buf, Transition(i, 0, 0.0, 0, False))
+        buf.push(i, 0, 0.0, 0, False)
     counts = np.zeros(16)
     rng = stream_rng(9)
     n = 100_000

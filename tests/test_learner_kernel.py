@@ -37,13 +37,14 @@ def onehot(states, width):
 def reference_update(agent: Agent, batch: Batch) -> float:
     cfg, n, b = agent.cfg, agent.n, len(batch)
     if cfg.backend == "tabular":
-        th = agent.theta[batch.s, batch.a]
-        tt_all = agent.theta_target[batch.s_next]
+        th = agent.head.theta[batch.s, batch.a]
+        tt_all = agent.head.theta_target[batch.s_next]
     else:
         x = onehot(batch.s, agent.n_states)
-        th = nn.forward(agent.net, x).reshape(b, -1, n)[np.arange(b), batch.a]
-        tt_all = nn.forward(agent.net_target, onehot(batch.s_next,
-                                                     agent.n_states))
+        th = nn.forward(agent.head.net, x).reshape(b, -1, n)[np.arange(b),
+                                                             batch.a]
+        tt_all = nn.forward(agent.head.net_target,
+                            onehot(batch.s_next, agent.n_states))
         tt_all = tt_all.reshape(b, -1, n)
     a_star = tt_all.mean(axis=2).argmax(axis=1)
     tt = tt_all[np.arange(b), a_star]
@@ -54,37 +55,35 @@ def reference_update(agent: Agent, batch: Batch) -> float:
     rho = quantile_huber(delta, taus, cfg.kappa)
     g = -quantile_huber_grad(delta, taus, cfg.kappa).mean(axis=2)
     if cfg.backend == "tabular":
-        grad = np.zeros_like(agent.theta)
+        grad = np.zeros_like(agent.head.theta)
         np.add.at(grad, (batch.s, batch.a), g)
-        if cfg.optimizer == "sgd":
-            agent.theta -= cfg.lr * grad
-        else:
-            agent.opt_t += 1
-            b1, b2, eps = 0.9, 0.999, 1e-8
-            agent.opt_m *= b1
-            agent.opt_m += (1.0 - b1) * grad
-            agent.opt_v *= b2
-            agent.opt_v += (1.0 - b2) * grad * grad
-            m_hat = agent.opt_m / (1.0 - b1 ** agent.opt_t)
-            v_hat = agent.opt_v / (1.0 - b2 ** agent.opt_t)
-            agent.theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+        grads = [grad]
     else:
         grad_out = np.zeros((b, agent.n_actions * n))
         cols = batch.a[:, None] * n + np.arange(n)[None, :]
         grad_out[np.arange(b)[:, None], cols] = g / b
-        grads = nn.backward(agent.net, x, grad_out)
-        if cfg.optimizer == "adam":
-            nn.adam_step(agent.net, grads, agent.adam, cfg.lr)
-        else:
-            nn.sgd_step(agent.net, grads, cfg.lr)
+        grads = nn.backward(agent.head.net, x, grad_out)
+    # Adam and plain SGD written out on every parameter array
+    if cfg.optimizer == "sgd":
+        for p, grad in zip(agent.head.params, grads):
+            p -= cfg.lr * grad
+    else:
+        adam = agent.adam
+        adam.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for p, grad, m, v in zip(agent.head.params, grads, adam.m, adam.v):
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            m_hat = m / (1.0 - b1 ** adam.t)
+            v_hat = v / (1.0 - b2 ** adam.t)
+            p -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
     return float(rho.mean(axis=2).sum(axis=1).mean())
 
 
 def state_bits(agent: Agent) -> list:
-    if agent.cfg.backend == "tabular":
-        return [bits(agent.theta), bits(agent.opt_m), bits(agent.opt_v),
-                agent.opt_t]
-    return ([bits(p) for p in nn.params(agent.net)]
+    return ([bits(p) for p in agent.head.params]
             + [bits(m) for m in agent.adam.m] + [bits(v) for v in agent.adam.v]
             + [agent.adam.t])
 
@@ -104,10 +103,10 @@ def cases(draw, backend):
     agent = Agent(cfg, n_states, n_actions, seed=draw(st.integers(0, 2**16)))
     shape = (n_states, n_actions, n)
     if backend == "tabular":
-        agent.theta = draw(arrays(float, shape, elements=VALUES))
-        agent.theta_target = draw(arrays(float, shape, elements=VALUES))
+        agent.head.theta[:] = draw(arrays(float, shape, elements=VALUES))
+        agent.head.theta_target[:] = draw(arrays(float, shape, elements=VALUES))
     else:
-        for bias in agent.net.biases + agent.net_target.biases:
+        for bias in agent.head.net.biases + agent.head.net_target.biases:
             bias += draw(arrays(float, bias.shape, elements=VALUES))
     states = st.integers(0, n_states - 1)
     batch = Batch(s=draw(arrays(np.int64, b, elements=states)),
@@ -146,7 +145,7 @@ def test_kernel_gradient_and_loss_match_quantile_huber(n, b, kappa, data):
     # per-transition terms, before any scatter could hide a signed zero
     u = data.draw(arrays(float, (n, n, b), elements=VALUES))
     agent = Agent(AgentConfig(n_quantiles=n), n_states=1, n_actions=1)
-    g, loss = _quantile_step(u.copy(), agent._consts(b)[2], kappa)
+    g, loss = _quantile_step(u.copy(), agent._kernel_weights(b), kappa)
     # C order, as the unfused code built it: the mean's summation order
     # depends on the layout
     delta = np.ascontiguousarray(u.transpose(2, 0, 1))
@@ -160,8 +159,8 @@ def test_kernel_gradient_and_loss_match_quantile_huber(n, b, kappa, data):
 
 def test_td_deltas_terminal_rows_and_bootstrap_choice():
     agent = Agent(AgentConfig(n_quantiles=3), n_states=3, n_actions=2)
-    agent.theta[:] = np.arange(18.0).reshape(3, 2, 3)
-    agent.theta_target[:] = -agent.theta
+    agent.head.theta[:] = np.arange(18.0).reshape(3, 2, 3)
+    agent.head.theta_target[:] = -agent.head.theta
     batch = Batch(s=np.array([0, 2]), a=np.array([1, 0]), r=np.array([-1.0, 2.0]),
                   s_next=np.array([1, 1]), done=np.array([False, True]))
     delta = agent.td_deltas(batch)

@@ -131,9 +131,9 @@ def test_init_bad_dims():
 def test_adam_zero_gradient_keeps_params():
     net = nn.init([3, 4, 2], seed=1)
     before = [p.copy() for p in nn.params(net)]
-    state = nn.AdamState.for_net(net)
+    state = nn.AdamState.for_params(nn.params(net))
     grads = [np.zeros_like(p) for p in nn.params(net)]
-    nn.adam_step(net, grads, state, lr=0.1)
+    nn.adam_step(nn.params(net), grads, state, lr=0.1)
     assert state.t == 1
     for p, q in zip(nn.params(net), before):
         np.testing.assert_array_equal(p, q)
@@ -141,13 +141,13 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_constant_gradient_step_magnitude():
     net = nn.init([2, 2], seed=4)
-    state = nn.AdamState.for_net(net)
+    state = nn.AdamState.for_params(nn.params(net))
     grads = [np.full_like(p, 0.7) for p in nn.params(net)]
     lr = 1e-3
     prev = [p.copy() for p in nn.params(net)]
     for _ in range(10_000):
         prev = [p.copy() for p in nn.params(net)]
-        nn.adam_step(net, grads, state, lr)
+        nn.adam_step(nn.params(net), grads, state, lr)
     for p, q in zip(nn.params(net), prev):
         steps = np.abs(p - q)
         np.testing.assert_allclose(steps, lr, rtol=1e-2)
@@ -156,7 +156,7 @@ def test_adam_constant_gradient_step_magnitude():
 def test_sgd_step():
     net = nn.DenseNet([np.ones((2, 2))], [np.zeros(2)], ["identity"])
     grads = [np.full((2, 2), 2.0), np.array([1.0, -1.0])]
-    nn.sgd_step(net, grads, lr=0.5)
+    nn.sgd_step(nn.params(net), grads, lr=0.5)
     np.testing.assert_allclose(net.weights[0], np.zeros((2, 2)), atol=1e-15)
     np.testing.assert_allclose(net.biases[0], [-0.5, 0.5], atol=1e-15)
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from qrrn.trainer import (AggRow, Checkpoint, CorruptCheckpoint, EpisodeTrace,
                           load_checkpoint, load_run_config,
                           ranked_crosswalk_free_routes, read_checkpoint,
                           resolve_graph, run_lr_sweep, run_trials,
-                          save_checkpoint, train_one)
+                          save_checkpoint, train_one, _agent_arrays)
 
+FIXTURE = (Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+           / "town-b-seed1.qrrn")
 POLS = [ExecPolicy("greedy"), ExecPolicy("ssd"), ExecPolicy("t-ssd", 15.0)]
 
 
@@ -84,7 +87,7 @@ def test_resolve_graph_variants(tmp_path, two_route_map):
 def test_evaluate_forced_route(two_route_map):
     agent = Agent(AgentConfig(), two_route_map.n_states,
                   two_route_map.action_dim)
-    agent.theta[0, 1, :] = 1.0   # robust branch looks better at the fork
+    agent.head.theta[0, 1, :] = 1.0   # robust branch looks better at the fork
     trace = evaluate(agent, ExecPolicy("greedy"), two_route_map,
                      EnvConfig(r_base=3.0), gamma=0.99, eval_cap=100, seed=0)
     robust = ranked_crosswalk_free_routes(two_route_map)[0]
@@ -158,7 +161,8 @@ def test_same_seed_reproducible():
     a = train_one(cfg, 1)
     b = train_one(cfg, 1)
     assert a.rows == b.rows
-    np.testing.assert_array_equal(a.agent.theta, b.agent.theta)
+    np.testing.assert_array_equal(a.agent.head.theta,
+                                  b.agent.head.theta)
     assert curves_csv_text(a.rows) == curves_csv_text(b.rows)
 
 
@@ -231,8 +235,9 @@ def test_checkpoint_roundtrip_bitexact(tmp_path, two_route_map):
     cfg = small_cfg(total_steps=2000, eval_interval=2000, seeds=[1])
     res = train_one(cfg, 1, checkpoint_path=str(tmp_path / "a.qrrn"))
     agent = load_checkpoint(str(tmp_path / "a.qrrn"))
-    np.testing.assert_array_equal(agent.theta, res.agent.theta)
-    np.testing.assert_array_equal(agent.theta_target, res.agent.theta_target)
+    np.testing.assert_array_equal(agent.head.theta, res.agent.head.theta)
+    np.testing.assert_array_equal(agent.head.theta_target,
+                                  res.agent.head.theta_target)
     np.testing.assert_array_equal(agent.buffer.r, res.agent.buffer.r)
     assert agent.steps_done == res.agent.steps_done
     assert agent.cfg == res.agent.cfg
@@ -244,10 +249,10 @@ def test_checkpoint_network_roundtrip(tmp_path):
     agent = Agent(AgentConfig(backend="network", hidden=(8, 8)), 6, 2, seed=3)
     x = np.eye(6)
     from qrrn import nn
-    before = nn.forward(agent.net, x)
+    before = nn.forward(agent.head.net, x)
     save_checkpoint(agent, str(tmp_path / "n.qrrn"))
     again = load_checkpoint(str(tmp_path / "n.qrrn"))
-    np.testing.assert_array_equal(nn.forward(again.net, x), before)
+    np.testing.assert_array_equal(nn.forward(again.head.net, x), before)
     assert again.adam.t == agent.adam.t
 
 
@@ -274,6 +279,15 @@ def test_checkpoint_corruption_cases(tmp_path):
         read_checkpoint(str(tmp_path / "vers.qrrn"))
 
 
+def test_checkpoint_array_shape_must_match_dims(tmp_path):
+    path = str(tmp_path / "c.qrrn")
+    save_checkpoint(Agent(AgentConfig(), 4, 2), path)
+    ck = read_checkpoint(path)
+    ck.arrays["theta"] = ck.arrays["theta"][:1]     # one state of four
+    with pytest.raises(CorruptCheckpoint, match="theta"):
+        ck.build_agent()
+
+
 def test_split_run_equivalence(tmp_path):
     cfg = small_cfg(total_steps=6000, eval_interval=2000, seeds=[1])
     full = train_one(cfg, 1)
@@ -283,11 +297,43 @@ def test_split_run_equivalence(tmp_path):
     resumed = train_one(cfg, 1, resume=ck)
 
     assert resumed.rows == full.rows
-    np.testing.assert_array_equal(resumed.agent.theta, full.agent.theta)
-    np.testing.assert_array_equal(resumed.agent.opt_m, full.agent.opt_m)
-    np.testing.assert_array_equal(resumed.agent.opt_v, full.agent.opt_v)
+    np.testing.assert_array_equal(resumed.agent.head.theta,
+                                  full.agent.head.theta)
+    np.testing.assert_array_equal(resumed.agent.adam.m[0],
+                                  full.agent.adam.m[0])
+    np.testing.assert_array_equal(resumed.agent.adam.v[0],
+                                  full.agent.adam.v[0])
     np.testing.assert_array_equal(resumed.agent.buffer.s, full.agent.buffer.s)
-    assert resumed.agent.opt_t == full.agent.opt_t
+    assert resumed.agent.adam.t == full.agent.adam.t
+
+
+def test_resume_rejects_other_seed(tmp_path):
+    cfg = small_cfg(total_steps=2000, eval_interval=1000, seeds=[1])
+    ck = str(tmp_path / "mid.qrrn")
+    train_one(cfg, 1, stop_at=500, checkpoint_path=ck)
+    with pytest.raises(ValueError, match="seed"):
+        train_one(cfg, 7, resume=ck)
+
+
+def test_resume_rejects_other_config(tmp_path):
+    cfg = small_cfg(total_steps=2000, eval_interval=1000, seeds=[1])
+    ck = str(tmp_path / "mid.qrrn")
+    train_one(cfg, 1, stop_at=500, checkpoint_path=ck)
+    other = small_cfg(total_steps=2000, eval_interval=1000, seeds=[1],
+                      agent=AgentConfig(lr=0.01))
+    with pytest.raises(ValueError, match="config"):
+        train_one(other, 1, resume=ck)
+
+
+def test_fixture_checkpoint_rebuilds_same_arrays():
+    # a stored v1 checkpoint loads into an agent whose arrays are written
+    # back under the same names, in the same order, with the same bytes
+    ck = read_checkpoint(str(FIXTURE))
+    arrays = _agent_arrays(ck.build_agent())
+    assert list(arrays) == list(ck.arrays)
+    for name, want in ck.arrays.items():
+        got = np.ascontiguousarray(arrays[name], dtype="<f8")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_network_backend_trains_and_resumes(tmp_path):
@@ -303,6 +349,7 @@ def test_network_backend_trains_and_resumes(tmp_path):
     train_one(cfg, 4, stop_at=1500, checkpoint_path=ck)
     resumed = train_one(cfg, 4, resume=ck)
     assert resumed.rows == full.rows
-    for a, b in zip(resumed.agent.net.weights, full.agent.net.weights):
+    for a, b in zip(resumed.agent.head.net.weights,
+                    full.agent.head.net.weights):
         np.testing.assert_array_equal(a, b)
     assert resumed.agent.adam.t == full.agent.adam.t
