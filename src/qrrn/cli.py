@@ -36,8 +36,8 @@ from .roadnet import (MapError, Route, ScenarioParams, emit_map,
 from .trainer import (Checkpoint, CorruptCheckpoint, RunConfig,
                       VersionMismatch, aggregate_csv_text, curve_auc,
                       curves_csv_text, curves_svg_text, evaluate,
-                      load_run_config, read_checkpoint, resolve_graph,
-                      run_lr_sweep, run_trials, train_one)
+                      load_run_config, open_replacing, read_checkpoint,
+                      resolve_graph, run_lr_sweep, run_trials, train_one)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -59,7 +59,7 @@ def _read_text(path: str) -> str:
 
 def _write_text(path: str, text: str) -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_replacing(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .policies import greedy
 # huber_terms is not called here; it stays importable under this name
 # because benchmarks/spans.py wraps it here to count its calls
 from .quantdist import huber_terms, midpoints  # noqa: F401
@@ -193,13 +194,6 @@ def epsilon(step: int, total_steps: int, cfg: AgentConfig) -> float:
     return 1.0 + (cfg.exploration_final_eps - 1.0) * (step / window)
 
 
-def _greedy(d: np.ndarray):
-    """Argmax over actions of the atom means of d[..., action, atom]; ties
-    go to the lowest index. The sum is divided by n before the argmax, as
-    ndarray.mean does: two sums that round to the same mean must tie."""
-    return (np.add.reduce(d, axis=-1) / d.shape[-1]).argmax(axis=-1)
-
-
 # A head holds the online and target atoms behind one interface: ``params``
 # and ``target`` (live arrays, updated in place), ``names`` (checkpoint
 # names of the online, target, Adam m and Adam v arrays), ``dists``,
@@ -226,7 +220,7 @@ class TableHead:
     def bootstrap(self, next_states) -> np.ndarray:
         # one mean over the whole target table; s' picks the rows
         tt = self.theta_target
-        return tt[next_states, _greedy(tt)[next_states]]
+        return tt[next_states, greedy(tt)[next_states]]
 
     def grads(self, states, actions, g, trace) -> list:
         th = self.theta
@@ -262,7 +256,7 @@ class NetHead:
 
     def bootstrap(self, next_states) -> np.ndarray:
         boot = self.dists(next_states, target=True)
-        return boot[np.arange(len(boot)), _greedy(boot)]
+        return boot[np.arange(len(boot)), greedy(boot)]
 
     def grads(self, states, actions, g, trace) -> list:
         b = len(states)
@@ -299,7 +293,7 @@ class Agent:
         return self.head.dists(s, target)
 
     def greedy_action(self, s: int) -> int:
-        return int(_greedy(self.head.dists(s)))
+        return int(greedy(self.head.dists(s)))
 
     def behavior_action(self, s: int, step: int, total_steps: int,
                         rng: np.random.Generator) -> int:

@@ -11,11 +11,17 @@ Three rules are provided:
   moment (variance) wins; subtracting the mean makes the comparison
   consistent with the exact rule under equal means.
 
+A mean is the sum over atoms divided by n, the same bits as
+``ndarray.mean``. Every rule makes its decision through one core,
+``_ranked``, which validates the atoms once per decision and computes each
+mean once; a second moment is computed only when the top-2 are tied.
+
 Every tie (argmax, moment comparison) breaks toward the lower action
 index, so all rules are deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,30 +34,66 @@ class TooFewActions(ValueError):
 _KINDS = ("greedy", "ssd", "t-ssd")
 
 
-def _dists(d) -> np.ndarray:
-    a = np.asarray(d, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected (n_actions, n_atoms) array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+def atom_means(d) -> np.ndarray:
+    """Means over the last (atom) axis of d[..., action, atom]."""
+    return np.add.reduce(d, axis=-1) / d.shape[-1]
+
+
+def greedy(d) -> np.ndarray:
+    """Argmax over actions of the atom means of d[..., action, atom]; ties
+    go to the lowest index. Two sums that round to the same mean tie. Does
+    not validate: the learner's behaviour policy and bootstrap targets call
+    it on every step."""
+    return atom_means(d).argmax(axis=-1)
+
+
+def _ranked(dists):
+    """Validate once, mean once: the atoms, their per-action means and the
+    best and runner-up actions by mean (runner-up None for one action).
+
+    The picks are argmax's, with the runner-up taken after masking the best
+    to -inf, so when every other mean is -inf it is the best again.
+    """
+    d = np.asarray(dists, dtype=float)
+    if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
+        raise ValueError(f"expected (n_actions, n_atoms) array, got shape {d.shape}")
+    means = atom_means(d)
+    m = means.tolist()
+    # an inf or nan atom makes its mean inf or nan, so finite means vouch
+    # for the atoms; finite atoms whose sum overflows pass the full check
+    if not all(map(math.isfinite, m)) and not np.isfinite(d).all():
         raise ValueError("atoms must be finite")
-    return a
+    a1 = int(means.argmax())
+    if len(m) == 1:
+        return d, means, a1, None
+    means[a1] = -math.inf
+    a2 = int(means.argmax())
+    means[a1] = m[a1]           # the variance subtracts it again
+    return d, means, a1, a2
+
+
+def _tie_break(dists, thres: float, central: bool) -> int:
+    """The best action by mean unless its lead is at most ``thres``; then
+    the one of the top-2 with the smaller second moment, taken about the
+    mean in ndarray.var's order when ``central``, else raw."""
+    d, means, a1, a2 = _ranked(dists)
+    if a2 is None or means[a1] - means[a2] > thres:
+        return a1
+    x = d - means[:, None] if central else d
+    s = atom_means(x * x)
+    return a1 if s[a1] <= s[a2] else a2
 
 
 def greedy_action(dists) -> int:
     """Action with the largest mean return; ties -> lowest index."""
-    return int(np.argmax(_dists(dists).mean(axis=1)))
+    return _ranked(dists)[2]
 
 
 def top2(dists):
     """The two actions with the largest means, best first."""
-    d = _dists(dists)
-    if d.shape[0] < 2:
+    _, _, a1, a2 = _ranked(dists)
+    if a2 is None:
         raise TooFewActions("top2 needs at least two actions")
-    means = d.mean(axis=1)
-    a1 = int(np.argmax(means))
-    rest = means.copy()
-    rest[a1] = -np.inf
-    a2 = int(np.argmax(rest))
     return a1, a2
 
 
@@ -61,15 +103,7 @@ def ssd_action(dists) -> int:
     Only bit-equal means tie, so on trained values this rule behaves
     identically to greedy.
     """
-    d = _dists(dists)
-    if d.shape[0] == 1:
-        return 0
-    a1, a2 = top2(d)
-    means = d.mean(axis=1)
-    if means[a1] - means[a2] > 0.0:
-        return a1
-    raw = (d * d).mean(axis=1)
-    return a1 if raw[a1] <= raw[a2] else a2
+    return _tie_break(dists, 0.0, central=False)
 
 
 def thresholded_ssd_action(dists, thres: float) -> int:
@@ -81,15 +115,7 @@ def thresholded_ssd_action(dists, thres: float) -> int:
     """
     if not thres >= 0:
         raise ValueError(f"threshold must be >= 0, got {thres}")
-    d = _dists(dists)
-    if d.shape[0] == 1:
-        return 0
-    a1, a2 = top2(d)
-    means = d.mean(axis=1)
-    if means[a1] - means[a2] > thres:
-        return a1
-    var = d.var(axis=1)
-    return a1 if var[a1] <= var[a2] else a2
+    return _tie_break(dists, thres, central=True)
 
 
 @dataclass(frozen=True)
@@ -116,7 +142,7 @@ class ExecPolicy:
             return greedy_action(dists)
         if self.kind == "ssd":
             return ssd_action(dists)
-        return thresholded_ssd_action(dists, self.ssd_thres)
+        return _tie_break(dists, self.ssd_thres, central=True)
 
     def to_dict(self) -> dict:
         doc = {"exec_policy": self.kind}

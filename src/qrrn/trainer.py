@@ -17,9 +17,11 @@ uninterrupted one.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -47,6 +49,24 @@ class VersionMismatch(RuntimeError):
 
 class CorruptCheckpoint(RuntimeError):
     pass
+
+
+@contextlib.contextmanager
+def open_replacing(path: str, mode: str, **kwargs):
+    """Open a temp file beside ``path`` for writing and move it over
+    ``path`` once the block completes. If anything fails first, the temp
+    file is removed and an earlier file at ``path`` is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 CURVE_HEADER = ["seed", "exec_policy", "step", "discounted_return",
@@ -550,6 +570,8 @@ def save_checkpoint(agent: Agent, path: str, *, run_cfg: RunConfig | None = None
 
     Layout: magic, u16 format version, u32 header length, UTF-8 JSON
     header, then the declared arrays as little-endian float64 in order.
+    The file is written beside ``path`` and moved over it, so a failed save
+    leaves an earlier checkpoint at ``path`` whole.
     """
     arrays = _agent_arrays(agent)
     config: dict = {"agent": agent.cfg.to_dict()}
@@ -575,7 +597,7 @@ def save_checkpoint(agent: Agent, path: str, *, run_cfg: RunConfig | None = None
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }
     payload = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(payload)))

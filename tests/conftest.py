@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qrrn.roadnet import ScenarioParams, build_map, generate_scenario
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("qrrn", deadline=None, derandomize=True)
+settings.load_profile("qrrn")
 
 
 @pytest.fixture(scope="session")

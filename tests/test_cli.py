@@ -63,6 +63,22 @@ def test_gen_map_unwritable_path(tmp_path, capsys):
     assert "cannot write" in stderr
 
 
+def test_failed_write_keeps_earlier_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "m.json"
+    out.write_text("earlier")
+
+    def fail(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, stderr = run(capsys, "gen-map", "two-route", "--noisy-len", "8",
+                          "--robust-len", "10", "-o", str(out))
+    assert code == 3
+    assert "cannot write" in stderr
+    assert out.read_text() == "earlier"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
 def test_missing_subcommand_usage_error(capsys):
     assert main([]) == 2
 

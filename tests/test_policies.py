@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qrrn.policies import (ExecPolicy, TooFewActions, greedy_action,
-                           ssd_action, thresholded_ssd_action, top2)
+from qrrn.policies import (ExecPolicy, TooFewActions, atom_means,
+                           greedy_action, ssd_action, thresholded_ssd_action,
+                           top2)
 from qrrn.quantdist import ssd_dominates
 
 SPREAD = [-14.0, -10.0, -6.0, -2.0]     # mean -8, var 20
@@ -152,3 +154,238 @@ def test_exec_policy_serialization():
         ExecPolicy.from_dict({"policy": "greedy"})
     with pytest.raises(ValueError):
         ExecPolicy("t-ssd", ssd_thres=-2.0)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness against the rules as first written, validation, permutation
+#
+# The reference below is the original implementation, kept verbatim: it
+# validates the atoms in every call and takes means and variances through
+# ndarray.mean and ndarray.var. The rules must make the same choice on
+# every input, and raise where it raises.
+
+def _ref_dists(d) -> np.ndarray:
+    a = np.asarray(d, dtype=float)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"expected (n_actions, n_atoms) array, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("atoms must be finite")
+    return a
+
+
+def ref_greedy_action(dists) -> int:
+    return int(np.argmax(_ref_dists(dists).mean(axis=1)))
+
+
+def ref_top2(dists):
+    d = _ref_dists(dists)
+    if d.shape[0] < 2:
+        raise TooFewActions("top2 needs at least two actions")
+    means = d.mean(axis=1)
+    a1 = int(np.argmax(means))
+    rest = means.copy()
+    rest[a1] = -np.inf
+    a2 = int(np.argmax(rest))
+    return a1, a2
+
+
+def ref_ssd_action(dists) -> int:
+    d = _ref_dists(dists)
+    if d.shape[0] == 1:
+        return 0
+    a1, a2 = ref_top2(d)
+    means = d.mean(axis=1)
+    if means[a1] - means[a2] > 0.0:
+        return a1
+    raw = (d * d).mean(axis=1)
+    return a1 if raw[a1] <= raw[a2] else a2
+
+
+def ref_thresholded_ssd_action(dists, thres: float) -> int:
+    if not thres >= 0:
+        raise ValueError(f"threshold must be >= 0, got {thres}")
+    d = _ref_dists(dists)
+    if d.shape[0] == 1:
+        return 0
+    a1, a2 = ref_top2(d)
+    means = d.mean(axis=1)
+    if means[a1] - means[a2] > thres:
+        return a1
+    var = d.var(axis=1)
+    return a1 if var[a1] <= var[a2] else a2
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type of the ValueError it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+# integers and eighths sum exactly, so means tie bit for bit; values near
+# 1e308 make finite atoms whose sums overflow (to +-inf, or to nan when
+# numpy's pairwise sum over n >= 8 atoms meets both signs)
+ATOMS = st.one_of(st.integers(-40, 40).map(float),
+                  st.integers(-320, 320).map(lambda i: i / 8),
+                  st.sampled_from([0.0, -0.0]),
+                  st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]),
+                  st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def atom_rows(draw):
+    """(n_actions, n_atoms) atoms with exact mean ties, including equal
+    means over different spreads."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    rows = []
+    for _ in range(k):
+        how = draw(st.sampled_from(["fresh", "copy", "respread", "overflow"]))
+        if how == "overflow":
+            # in a pairwise sum the two halves overflow to inf and -inf
+            big = draw(st.sampled_from([1e308, 1.7e308]))
+            head = [big, big, -big, -big][:n]
+            rows.append(head + [draw(ATOMS) for _ in range(n - len(head))])
+            continue
+        if how == "fresh" or not rows:
+            rows.append([draw(ATOMS) for _ in range(n)])
+            continue
+        row = list(draw(st.sampled_from(rows)))
+        if how == "respread" and n >= 2:
+            # move a dyadic amount between two atoms: same sum, new spread
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(1, 16)) / 4
+            row[i], row[j] = row[i] - c, row[j] + c
+        rows.append(row)
+    return np.array(rows)
+
+
+@st.composite
+def layouts(draw, d):
+    """The same atoms as a list, a C array or a non-contiguous view."""
+    form = draw(st.sampled_from(["list", "array", "transposed", "strided",
+                                 "reversed"]))
+    if form == "list":
+        return d.tolist()
+    if form == "transposed":
+        return np.ascontiguousarray(d.T).T
+    if form == "strided":
+        wide = np.zeros((d.shape[0], 2 * d.shape[1]))
+        wide[:, 1::2] = d
+        return wide[:, 1::2]
+    if form == "reversed":
+        return np.ascontiguousarray(d[::-1])[::-1]
+    return d
+
+
+@st.composite
+def decisions(draw):
+    dists = draw(layouts(draw(atom_rows())))
+    # the mean gaps as this layout sums them: a view may sum in another order
+    with np.errstate(all="ignore"):
+        means = np.asarray(dists, dtype=float).mean(axis=1)
+        gaps = [float(x - y) for x in means for y in means]
+    exact = [g for g in gaps if math.isfinite(g) and g >= 0]
+    thres = draw(st.one_of(st.sampled_from(exact or [0.0]),
+                           st.sampled_from([0.0, -0.0, 0.5, 3.0, math.inf])))
+    return dists, thres
+
+
+@given(decisions())
+@settings(max_examples=1000)
+def test_rules_match_reference_bit_for_bit(case):
+    dists, thres = case
+    greedy = outcome(ref_greedy_action, dists)
+    ssd = outcome(ref_ssd_action, dists)
+    tssd = outcome(ref_thresholded_ssd_action, dists, thres)
+    assert outcome(greedy_action, dists) == greedy
+    assert outcome(top2, dists) == outcome(ref_top2, dists)
+    assert outcome(ssd_action, dists) == ssd
+    assert outcome(thresholded_ssd_action, dists, thres) == tssd
+    assert outcome(ExecPolicy("greedy").select, dists) == greedy
+    assert outcome(ExecPolicy("ssd").select, dists) == ssd
+    assert outcome(ExecPolicy("t-ssd", thres).select, dists) == tssd
+
+
+@given(st.integers(1, 5), st.integers(1, 12), st.data())
+@settings(max_examples=300)
+def test_atom_means_are_ndarray_mean_bits(k, n, data):
+    d = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k * n,
+                                    max_size=k * n))).reshape(k, n)
+    for view in (d, np.ascontiguousarray(d.T).T, d[::-1], d[None]):
+        assert atom_means(view).tobytes() == view.mean(axis=-1).tobytes()
+
+
+def test_nan_mean_from_finite_atoms_is_argmax_pick():
+    # nine atoms: the pairwise sum adds inf to -inf, so the mean is nan,
+    # and argmax takes the first nan
+    d = [[0.0] * 9, [1e308, 1e308, -1e308, -1e308] + [0.0] * 5, [0.0] * 9]
+    with np.errstate(all="ignore"):
+        assert greedy_action(d) == 1
+        assert top2(d) == ref_top2(d) == (1, 0)
+        assert ssd_action(d) == ref_ssd_action(d)
+        assert thresholded_ssd_action(d, 2.0) == \
+            ref_thresholded_ssd_action(d, 2.0)
+
+
+BAD_INPUTS = {
+    "nan": [[0.0, math.nan], [1.0, 2.0]],
+    "inf": [[0.0, 1.0], [math.inf, 2.0]],
+    "-inf": [[-math.inf, 1.0], [0.0, 2.0]],
+    "nan-single": [[math.nan, 1.0]],
+    "nan-beside-overflow": [[1e308] * 2 + [-1e308] * 2 + [math.nan] * 4 + [0.0],
+                            [0.0] * 9],
+    "1-D": [1.0, 2.0, 3.0],
+    "3-D": [[[1.0, 2.0]], [[3.0, 4.0]]],
+    "0-D": 1.0,
+    "no actions": np.zeros((0, 3)),
+    "no atoms": np.zeros((3, 0)),
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_invalid_atoms_raise_everywhere(bad):
+    calls = [greedy_action, top2, ssd_action,
+             lambda d: thresholded_ssd_action(d, 1.0),
+             ExecPolicy("greedy").select, ExecPolicy("ssd").select,
+             ExecPolicy("t-ssd", 1.0).select]
+    for call in calls:
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
+            call(bad)
+
+
+def test_finite_atoms_whose_sums_overflow_are_accepted():
+    # both means overflow to +inf: argmax takes the first, and the gap
+    # inf - inf is nan, so the tie branch decides
+    d = [[1e308, 1e308, 0.0], [1.5e308, 1.5e308, 0.0]]
+    with np.errstate(all="ignore"):
+        assert greedy_action(d) == 0
+        assert top2(d) == (0, 1)
+        assert ssd_action(d) == ref_ssd_action(d)
+        assert thresholded_ssd_action(d, 1.0) == \
+            ref_thresholded_ssd_action(d, 1.0)
+
+
+@st.composite
+def shuffled_atoms(draw):
+    """Integer atoms and the same atoms shuffled within each action. With
+    n a power of two every mean, deviation, square and sum is exact, so no
+    moment depends on the order of the atoms."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([1, 2, 4, 8]))
+    rows = [draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+            for _ in range(k)]
+    perms = [draw(st.permutations(r)) for r in rows]
+    thres = float(draw(st.integers(0, 8)))
+    return np.array(rows, dtype=float), np.array(perms, dtype=float), thres
+
+
+@given(shuffled_atoms())
+@settings(max_examples=300)
+def test_rules_invariant_to_atom_order(case):
+    d, shuffled, thres = case
+    for rule in (ExecPolicy("greedy"), ExecPolicy("ssd"),
+                 ExecPolicy("t-ssd", thres)):
+        assert rule.select(shuffled) == rule.select(d)

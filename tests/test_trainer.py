@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qrrn import trainer as trainer_mod
 from qrrn.env import EnvConfig
 from qrrn.learner import Agent, AgentConfig
 from qrrn.policies import ExecPolicy
@@ -277,6 +278,30 @@ def test_checkpoint_corruption_cases(tmp_path):
     (tmp_path / "vers.qrrn").write_bytes(blob[:4] + b"\x63\x00" + blob[6:])
     with pytest.raises(VersionMismatch):
         read_checkpoint(str(tmp_path / "vers.qrrn"))
+
+
+class _Unwritable:
+    """An array entry whose serialisation fails after the header and the
+    earlier arrays have been written."""
+    shape = (1,)
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
+def test_failed_save_keeps_earlier_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "c.qrrn"
+    agent = Agent(AgentConfig(), 4, 2)
+    save_checkpoint(agent, str(path))
+    before = path.read_bytes()
+    agent.head.theta += 1.0
+    real = trainer_mod._agent_arrays
+    monkeypatch.setattr(trainer_mod, "_agent_arrays",
+                        lambda a: {**real(a), "tail": _Unwritable()})
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(agent, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.qrrn"]
 
 
 def test_checkpoint_array_shape_must_match_dims(tmp_path):
