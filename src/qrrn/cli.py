@@ -163,8 +163,7 @@ def _checkpoint_env_cfg(ck: Checkpoint) -> EnvConfig:
 
 
 def cmd_eval(args) -> int:
-    ck = _read_ck(args.checkpoint)
-    agent = ck.build_agent()
+    ck, agent = _load_ck(args.checkpoint)
     graph = _checkpoint_graph(ck)
     env_cfg = _checkpoint_env_cfg(ck)
     policy = ExecPolicy(kind=args.policy, ssd_thres=args.ssd_thres)
@@ -176,9 +175,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_ck(path: str) -> Checkpoint:
+def _load_ck(path: str):
+    """The checkpoint at ``path`` and the agent it holds. A missing,
+    damaged or mismatched file is a usage error."""
     try:
-        return read_checkpoint(path)
+        ck = read_checkpoint(path)
+        return ck, ck.build_agent()
     except FileNotFoundError as exc:
         raise ConfigFailure(f"no such checkpoint: {path}") from exc
     except (CorruptCheckpoint, VersionMismatch) as exc:
@@ -296,8 +298,7 @@ def _load_route(path: str, graph) -> Route:
 
 
 def cmd_inspect(args) -> int:
-    ck = _read_ck(args.checkpoint)
-    agent = ck.build_agent()
+    ck, agent = _load_ck(args.checkpoint)
     if not (0 <= args.state < agent.n_states):
         raise ConfigFailure(f"state {args.state} outside 0..{agent.n_states - 1}")
     dists = agent.action_dists(args.state)

@@ -14,6 +14,7 @@ marking the transition terminal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,10 +196,12 @@ def epsilon(step: int, total_steps: int, cfg: AgentConfig) -> float:
 
 
 # A head holds the online and target atoms behind one interface: ``params``
-# and ``target`` (live arrays, updated in place), ``names`` (checkpoint
-# names of the online, target, Adam m and Adam v arrays), ``dists``,
-# ``online`` (atoms of the taken actions and a trace for ``grads``),
-# ``bootstrap`` (target atoms of the target-greedy action) and ``grads``.
+# and ``target`` (one flat vector each, updated in place), ``shapes`` (the
+# slots the vectors are cut into, see ``nn.split``), ``names`` (checkpoint
+# names of the slots of the online, target, Adam m and Adam v vectors),
+# ``dists``, ``online`` (atoms of the taken actions and a trace for
+# ``grads``), ``bootstrap`` (target atoms of the target-greedy action) and
+# ``grads`` (a flat vector like ``params``).
 
 class TableHead:
     """Atoms as a dense (state, action, atom) table and its target copy."""
@@ -206,9 +209,12 @@ class TableHead:
     names = (["theta"], ["theta_target"], ["opt_m"], ["opt_v"])
 
     def __init__(self, n_states: int, n_actions: int, n: int):
-        self.theta = np.zeros((n_states, n_actions, n))
-        self.theta_target = self.theta.copy()
-        self.params, self.target = [self.theta], [self.theta_target]
+        shape = (n_states, n_actions, n)
+        self.shapes = [shape]
+        size = math.prod(shape)
+        self.params, self.target = np.zeros(size), np.zeros(size)
+        self.theta = self.params.reshape(shape)
+        self.theta_target = self.target.reshape(shape)
         self._atoms = np.arange(n)[:, None]
 
     def dists(self, states, target: bool = False) -> np.ndarray:
@@ -222,12 +228,11 @@ class TableHead:
         tt = self.theta_target
         return tt[next_states, greedy(tt)[next_states]]
 
-    def grads(self, states, actions, g, trace) -> list:
+    def grads(self, states, actions, g, trace) -> np.ndarray:
         th = self.theta
         cells = (states * th.shape[1] + actions) * th.shape[2]
         # bincount adds each cell's terms in batch order, as np.add.at
-        return [np.bincount((cells + self._atoms).ravel(), g.ravel(),
-                            th.size).reshape(th.shape)]
+        return np.bincount((cells + self._atoms).ravel(), g.ravel(), th.size)
 
 
 class NetHead:
@@ -237,13 +242,16 @@ class NetHead:
     def __init__(self, n_states: int, n_actions: int, n: int, hidden, seed):
         self.net = nn.init([n_states, *hidden, n_actions * n], seed)
         self.net_target = nn.clone(self.net)
-        self.params, self.target = nn.params(self.net), nn.params(self.net_target)
+        self.params, self.target = self.net.flat, self.net_target.flat
+        self.shapes = [p.shape for p in nn.params(self.net)]
         layers = range(len(self.net.weights))
         online = [f"{p}{i}" for i in layers for p in "wb"]
-        slots = range(len(self.params))
+        slots = range(len(self.shapes))
         self.names = (online, ["t" + k for k in online], [f"am{i}" for i in slots],
                       [f"av{i}" for i in slots])
         self.shape = (n_actions, n)
+        self._grad = np.empty_like(self.params)
+        self._grad_slots = nn.split(self._grad, self.shapes)
 
     def dists(self, states, target: bool = False) -> np.ndarray:
         y = nn.forward(self.net_target if target else self.net, states,
@@ -258,11 +266,13 @@ class NetHead:
         boot = self.dists(next_states, target=True)
         return boot[np.arange(len(boot)), greedy(boot)]
 
-    def grads(self, states, actions, g, trace) -> list:
+    def grads(self, states, actions, g, trace) -> np.ndarray:
         b = len(states)
         grad_out = np.zeros((b, self.net.output_dim))
         grad_out.reshape(b, *self.shape)[np.arange(b), actions] = g.T / b
-        return nn.backward(self.net, states, grad_out, onehot=True, trace=trace)
+        nn.backward(self.net, states, grad_out, onehot=True, trace=trace,
+                    out=self._grad_slots)
+        return self._grad
 
 
 class Agent:
@@ -350,11 +360,11 @@ class Agent:
         u, trace = self._residuals(batch)
         g, loss = _quantile_step(u, self._kernel_weights(len(batch)),
                                  self.cfg.kappa)
-        grads = self.head.grads(batch.s, batch.a, g, trace)
+        grad = self.head.grads(batch.s, batch.a, g, trace)
         if self.cfg.optimizer == "adam":
-            nn.adam_step(self.head.params, grads, self.adam, self.cfg.lr)
+            nn.adam_step(self.head.params, grad, self.adam, self.cfg.lr)
         else:
-            nn.sgd_step(self.head.params, grads, self.cfg.lr)
+            nn.sgd_step(self.head.params, grad, self.cfg.lr)
         return loss
 
     def _kernel_weights(self, b: int):
@@ -368,8 +378,7 @@ class Agent:
         return self._weights[b]
 
     def sync_target(self) -> None:
-        for t, p in zip(self.head.target, self.head.params):
-            np.copyto(t, p)
+        np.copyto(self.head.target, self.head.params)
 
 
 def _quantile_step(u: np.ndarray, weights, kappa: float):

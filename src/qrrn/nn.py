@@ -3,10 +3,15 @@
 Just enough machinery for small value heads: affine layers with relu or
 identity activations, batched forward/backward, Glorot-uniform init. The
 relu subgradient at exactly 0 is taken as 0.
+
+A network keeps all its parameters in one contiguous vector, and the
+optimizers step such vectors whole: one pass per operation, not one per
+weight matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,11 +24,32 @@ class BadDims(ValueError):
     pass
 
 
+def split(flat: np.ndarray, shapes) -> list:
+    """Views of consecutive pieces of ``flat`` with the given shapes."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[start:start + size].reshape(shape))
+        start += size
+    return out
+
+
 @dataclass
 class DenseNet:
+    """Affine layers whose parameters live in one float vector, ``flat``,
+    laid out as ``params`` lists them. The arrays given are copied into a
+    new vector, and ``weights`` and ``biases`` become views into it."""
+
     weights: list            # (out, in) matrices
     biases: list             # (out,) vectors
     activations: list        # "relu" | "identity" per layer
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ps = [np.asarray(p) for p in params(self)]
+        self.flat = np.concatenate([p.ravel() for p in ps], dtype=float)
+        views = split(self.flat, [p.shape for p in ps])
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def input_dim(self) -> int:
@@ -60,13 +86,11 @@ def init(dims, seed=0) -> DenseNet:
 
 
 def clone(net: DenseNet) -> DenseNet:
-    return DenseNet([w.copy() for w in net.weights],
-                    [b.copy() for b in net.biases],
-                    list(net.activations))
+    return DenseNet(net.weights, net.biases, list(net.activations))
 
 
 def params(net: DenseNet):
-    """Flat parameter list [W0, b0, W1, b1, ...] (live references)."""
+    """Parameter list [W0, b0, W1, b1, ...], views into ``net.flat``."""
     out = []
     for w, b in zip(net.weights, net.biases):
         out.append(w)
@@ -136,26 +160,28 @@ def forward_trace(net: DenseNet, x, onehot: bool = False):
     return y, (hs, zs)
 
 
-def backward(net: DenseNet, x, grad_out, onehot: bool = False, trace=None):
+def backward(net: DenseNet, x, grad_out, onehot: bool = False, trace=None,
+             out=None):
     """Gradients of sum_b grad_out[b] . output[b] w.r.t. all parameters.
 
-    Returns a flat list matching ``params(net)``. Batched inputs accumulate
-    (sum) over the batch. ``trace`` is the one ``forward_trace`` returned
-    for the same net and inputs.
+    Returns a list matching ``params(net)``: ``out`` (arrays of those
+    shapes, such as ``split`` views of one vector) filled in place, or new
+    arrays. Batched inputs accumulate (sum) over the batch. ``trace`` is
+    the one ``forward_trace`` returned for the same net and inputs.
     """
     xb, single = _as_input(net, x, onehot)
     gb, gsingle = _as_batch(grad_out, net.output_dim, "grad_out")
     if single != gsingle or xb.shape[0] != gb.shape[0]:
         raise DimMismatch("input and grad_out batch sizes differ")
     hs, zs = trace if trace is not None else _forward_trace(net, xb, onehot)[1:]
-    grads = [None] * (2 * len(net.weights))
+    grads = [np.empty_like(p) for p in params(net)] if out is None else out
     g = gb
     for i in range(len(net.weights) - 1, -1, -1):
         if net.activations[i] == "relu":
             g = g * (zs[i] > 0.0)
         h = _onehot_rows(hs[0], net.input_dim) if onehot and i == 0 else hs[i]
-        grads[2 * i] = g.T @ h           # dW
-        grads[2 * i + 1] = g.sum(axis=0)  # db
+        np.matmul(g.T, h, out=grads[2 * i])              # dW
+        np.add.reduce(g, axis=0, out=grads[2 * i + 1])   # db
         if i > 0:
             g = g @ net.weights[i]
     return grads
@@ -163,36 +189,60 @@ def backward(net: DenseNet, x, grad_out, onehot: bool = False, trace=None):
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam moments of one flat parameter vector, and scratch space for
+    ``adam_step``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    _step: np.ndarray = field(init=False, repr=False)
+    _denom: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._step, self._denom = np.empty_like(self.m), np.empty_like(self.m)
 
     @classmethod
-    def for_params(cls, ps) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in ps],
-                   v=[np.zeros_like(p) for p in ps])
+    def for_params(cls, p: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(p), v=np.zeros_like(p))
 
 
-def adam_step(ps, grads, state: AdamState, lr: float) -> None:
-    """One Adam update with bias correction of a parameter list, in place."""
-    if len(grads) != len(ps):
-        raise DimMismatch("gradient list does not match parameter list")
+def _check(p, g) -> None:
+    if g.shape != p.shape:
+        raise DimMismatch(f"gradient shape {g.shape} does not match "
+                          f"parameters {p.shape}")
+
+
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction of a parameter vector, in place.
+
+    Every element takes the same operations in the same order as
+    ``p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)`` after
+    the moment updates; the temporaries go to the state's scratch buffers.
+    """
+    _check(p, g)
     state.t += 1
     b1, b2, t = state.beta1, state.beta2, state.t
-    for p, g, m, v in zip(ps, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps)
+    m, v, step, denom = state.m, state.v, state._step, state._denom
+    np.multiply(g, 1.0 - b1, out=step)
+    m *= b1
+    m += step
+    np.multiply(g, 1.0 - b2, out=step)
+    step *= g
+    v *= b2
+    v += step
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    p -= step
 
 
-def sgd_step(ps, grads, lr: float) -> None:
-    """Plain gradient step p <- p - lr * g on a parameter list, in place."""
-    if len(grads) != len(ps):
-        raise DimMismatch("gradient list does not match parameter list")
-    for p, g in zip(ps, grads):
-        p -= lr * g
+def sgd_step(p: np.ndarray, g: np.ndarray, lr: float) -> None:
+    """Plain gradient step p <- p - lr * g on a parameter vector, in place."""
+    _check(p, g)
+    p -= lr * g

@@ -21,6 +21,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +31,7 @@ import numpy as np
 
 from .env import EnvConfig, RoadEnv, stream_rng
 from .learner import Agent, AgentConfig
+from .nn import split
 from .policies import ExecPolicy
 from .roadnet import (GraphMap, enumerate_routes, generate_scenario,
                       map_from_dict, map_to_dict, parse_map, ScenarioParams)
@@ -513,40 +515,62 @@ class Checkpoint:
     arrays: dict
 
     def build_agent(self) -> Agent:
+        """The agent the checkpoint holds. A header field or array that is
+        missing or disagrees with the dims raises ``CorruptCheckpoint``."""
         h = self.header
-        cfg = AgentConfig.from_dict(h["config"]["agent"])
-        agent = Agent(cfg, h["dims"]["n_states"], h["dims"]["n_actions"])
+        cfg = AgentConfig.from_dict(_field(h, "config", "agent"))
+        agent = Agent(cfg, _field(h, "dims", "n_states"),
+                      _field(h, "dims", "n_actions"))
         for name, arr in _learner_arrays(agent):
-            if self.arrays[name].shape != arr.shape:
-                raise CorruptCheckpoint(f"array {name} does not match dims")
-            np.copyto(arr, self.arrays[name])
-        agent.adam.t = int(h["adam_t"] or 0)
+            np.copyto(arr, self._array(name, arr.shape))
+        agent.adam.t = int(_field(h, "adam_t") or 0)
         buf = agent.buffer
-        meta = h["buffer"]
-        if meta["capacity"] != buf.capacity:
+        if _field(h, "buffer", "capacity") != buf.capacity:
             raise CorruptCheckpoint("buffer capacity mismatch")
-        buf.size = int(meta["size"])
-        buf.cursor = int(meta["cursor"])
-        buf.s[:] = self.arrays["buf_s"].astype(np.int64)
-        buf.a[:] = self.arrays["buf_a"].astype(np.int64)
-        buf.r[:] = self.arrays["buf_r"]
-        buf.s_next[:] = self.arrays["buf_s_next"].astype(np.int64)
-        buf.done[:] = self.arrays["buf_done"] != 0.0
-        agent.steps_done = int(h["step"])
+        size = int(_field(h, "buffer", "size"))
+        cursor = int(_field(h, "buffer", "cursor"))
+        if not (0 <= size <= buf.capacity and 0 <= cursor < buf.capacity):
+            raise CorruptCheckpoint("buffer position outside its capacity")
+        buf.size, buf.cursor = size, cursor
+        shape = (buf.capacity,)
+        buf.s[:] = self._array("buf_s", shape).astype(np.int64)
+        buf.a[:] = self._array("buf_a", shape).astype(np.int64)
+        buf.r[:] = self._array("buf_r", shape)
+        buf.s_next[:] = self._array("buf_s_next", shape).astype(np.int64)
+        buf.done[:] = self._array("buf_done", shape) != 0.0
+        agent.steps_done = int(_field(h, "step"))
         return agent
+
+    def _array(self, name: str, shape) -> np.ndarray:
+        if name not in self.arrays:
+            raise CorruptCheckpoint(f"checkpoint lacks array {name}")
+        if self.arrays[name].shape != shape:
+            raise CorruptCheckpoint(f"array {name} does not match dims")
+        return self.arrays[name]
 
     def build_graph(self) -> GraphMap:
         return map_from_dict(self.header["config"]["map_document"])
 
 
+def _field(doc, *keys):
+    """``doc[keys[0]][keys[1]]...``; a missing key is a corrupt header."""
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise CorruptCheckpoint(f"checkpoint header lacks {'.'.join(keys)}")
+        doc = doc[key]
+    return doc
+
+
 def _learner_arrays(agent: Agent) -> list:
-    """(name, live array) pairs of the head's online and target parameters
-    and their Adam moments, in file order (m and v alternate per slot)."""
+    """(name, view) pairs of the slots of the head's online and target
+    parameters and their Adam moments, in file order (m and v alternate per
+    slot). Each view shares memory with its flat vector."""
     h = agent.head
     online, target, m_names, v_names = h.names
-    pairs = [*zip(online, h.params), *zip(target, h.target)]
-    for m_name, m, v_name, v in zip(m_names, agent.adam.m, v_names,
-                                    agent.adam.v):
+    pairs = [*zip(online, split(h.params, h.shapes)),
+             *zip(target, split(h.target, h.shapes))]
+    for m_name, m, v_name, v in zip(m_names, split(agent.adam.m, h.shapes),
+                                    v_names, split(agent.adam.v, h.shapes)):
         pairs += [(m_name, m), (v_name, v)]
     return pairs
 
@@ -622,15 +646,16 @@ def read_checkpoint(path: str) -> Checkpoint:
         header = json.loads(blob[10:10 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CorruptCheckpoint("header is not a JSON object")
     arrays = {}
     offset = 10 + hlen
     for spec in header.get("arrays", []):
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 8 * count
+        name, shape = _field(spec, "name"), tuple(_field(spec, "shape"))
+        nbytes = 8 * math.prod(shape)
         if offset + nbytes > len(blob):
-            raise CorruptCheckpoint(f"truncated array {spec['name']}")
-        arrays[spec["name"]] = np.frombuffer(
+            raise CorruptCheckpoint(f"truncated array {name}")
+        arrays[name] = np.frombuffer(
             blob[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(blob):

@@ -233,8 +233,8 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     split_ok = (resumed.rows == full.rows
                 and np.array_equal(resumed.agent.head.theta,
                                    full.agent.head.theta)
-                and np.array_equal(resumed.agent.adam.m[0],
-                                   full.agent.adam.m[0])
+                and np.array_equal(resumed.agent.adam.m,
+                                   full.agent.adam.m)
                 and np.array_equal(resumed.agent.buffer.r,
                                    full.agent.buffer.r))
     report(9, same_csv and split_ok,

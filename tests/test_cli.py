@@ -1,11 +1,16 @@
 import json
 import os
+import struct
 from importlib import resources
+from pathlib import Path
 
 from qrrn.cli import main
 from qrrn.learner import Agent, AgentConfig
 from qrrn.roadnet import parse_map, shortest_path
 from qrrn.trainer import save_checkpoint
+
+FIXTURE = (Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+           / "town-b-seed1.qrrn")
 
 
 def run(capsys, *argv):
@@ -306,3 +311,32 @@ def test_inspect_corrupt_checkpoint(tmp_path, capsys):
     bad.write_bytes(b"JUNKJUNKJUNK")
     code, _, stderr = run(capsys, "inspect", str(bad), "--state", "0")
     assert code == 2
+
+
+def damaged_fixture(path, edit):
+    """A copy of the stored checkpoint with ``edit`` applied to its header."""
+    blob = FIXTURE.read_bytes()
+    hlen = struct.unpack("<I", blob[6:10])[0]
+    header = json.loads(blob[10:10 + hlen])
+    edit(header)
+    payload = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:6] + struct.pack("<I", len(payload)) + payload
+                     + blob[10 + hlen:])
+    return str(path)
+
+
+def test_checkpoint_missing_header_key_is_a_usage_error(tmp_path, capsys):
+    ck = damaged_fixture(tmp_path / "nostep.qrrn", lambda h: h.pop("step"))
+    for argv in (["eval", ck], ["inspect", ck, "--state", "0"]):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert "step" in stderr and "Traceback" not in stderr
+
+
+def test_checkpoint_arrays_not_matching_dims_is_a_usage_error(tmp_path, capsys):
+    ck = damaged_fixture(tmp_path / "dims.qrrn",
+                         lambda h: h["dims"].update(n_states=5))
+    for argv in (["eval", ck], ["inspect", ck, "--state", "0"]):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert "theta" in stderr and "Traceback" not in stderr

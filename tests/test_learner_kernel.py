@@ -7,7 +7,7 @@ backward pass for the network) and the optimizer arithmetic. Parameters
 and optimizer moments must agree bit for bit; the loss, which the kernel
 forms from its own intermediates, within 1e-12 relative.
 """
-import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,17 +34,29 @@ def onehot(states, width):
     return x
 
 
-def reference_update(agent: Agent, batch: Batch) -> float:
+def snapshot(agent: Agent) -> SimpleNamespace:
+    """The learner state as separate per-slot arrays, copied from the agent,
+    for the reference to update."""
+    slots = lambda flat: [a.copy() for a in nn.split(flat, agent.head.shapes)]
+    return SimpleNamespace(params=slots(agent.head.params),
+                           target=slots(agent.head.target),
+                           m=slots(agent.adam.m), v=slots(agent.adam.v),
+                           t=agent.adam.t)
+
+
+def reference_update(agent: Agent, ref: SimpleNamespace, batch: Batch) -> float:
+    """One update of ``ref``, with the agent's config and dims."""
     cfg, n, b = agent.cfg, agent.n, len(batch)
     if cfg.backend == "tabular":
-        th = agent.head.theta[batch.s, batch.a]
-        tt_all = agent.head.theta_target[batch.s_next]
+        th = ref.params[0][batch.s, batch.a]
+        tt_all = ref.target[0][batch.s_next]
     else:
+        acts = agent.head.net.activations
+        net = nn.DenseNet(ref.params[0::2], ref.params[1::2], acts)
+        net_target = nn.DenseNet(ref.target[0::2], ref.target[1::2], acts)
         x = onehot(batch.s, agent.n_states)
-        th = nn.forward(agent.head.net, x).reshape(b, -1, n)[np.arange(b),
-                                                             batch.a]
-        tt_all = nn.forward(agent.head.net_target,
-                            onehot(batch.s_next, agent.n_states))
+        th = nn.forward(net, x).reshape(b, -1, n)[np.arange(b), batch.a]
+        tt_all = nn.forward(net_target, onehot(batch.s_next, agent.n_states))
         tt_all = tt_all.reshape(b, -1, n)
     a_star = tt_all.mean(axis=2).argmax(axis=1)
     tt = tt_all[np.arange(b), a_star]
@@ -55,37 +67,41 @@ def reference_update(agent: Agent, batch: Batch) -> float:
     rho = quantile_huber(delta, taus, cfg.kappa)
     g = -quantile_huber_grad(delta, taus, cfg.kappa).mean(axis=2)
     if cfg.backend == "tabular":
-        grad = np.zeros_like(agent.head.theta)
+        grad = np.zeros_like(ref.params[0])
         np.add.at(grad, (batch.s, batch.a), g)
         grads = [grad]
     else:
         grad_out = np.zeros((b, agent.n_actions * n))
         cols = batch.a[:, None] * n + np.arange(n)[None, :]
         grad_out[np.arange(b)[:, None], cols] = g / b
-        grads = nn.backward(agent.head.net, x, grad_out)
+        grads = nn.backward(net, x, grad_out)
     # Adam and plain SGD written out on every parameter array
     if cfg.optimizer == "sgd":
-        for p, grad in zip(agent.head.params, grads):
+        for p, grad in zip(ref.params, grads):
             p -= cfg.lr * grad
     else:
-        adam = agent.adam
-        adam.t += 1
+        ref.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for p, grad, m, v in zip(agent.head.params, grads, adam.m, adam.v):
+        for p, grad, m, v in zip(ref.params, grads, ref.m, ref.v):
             m *= b1
             m += (1.0 - b1) * grad
             v *= b2
             v += (1.0 - b2) * grad * grad
-            m_hat = m / (1.0 - b1 ** adam.t)
-            v_hat = v / (1.0 - b2 ** adam.t)
+            m_hat = m / (1.0 - b1 ** ref.t)
+            v_hat = v / (1.0 - b2 ** ref.t)
             p -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
     return float(rho.mean(axis=2).sum(axis=1).mean())
 
 
 def state_bits(agent: Agent) -> list:
-    return ([bits(p) for p in agent.head.params]
-            + [bits(m) for m in agent.adam.m] + [bits(v) for v in agent.adam.v]
-            + [agent.adam.t])
+    return [bits(agent.head.params), bits(agent.adam.m), bits(agent.adam.v),
+            agent.adam.t]
+
+
+def ref_bits(ref: SimpleNamespace) -> list:
+    # the slots laid end to end, in checkpoint order, are the flat vectors
+    join = lambda slots: b"".join(bits(a) for a in slots)
+    return [join(ref.params), join(ref.m), join(ref.v), ref.t]
 
 
 @st.composite
@@ -118,11 +134,11 @@ def cases(draw, backend):
 
 
 def check_against_reference(agent: Agent, batch: Batch) -> None:
-    ref = copy.deepcopy(agent)
+    ref = snapshot(agent)
     for _ in range(3):              # later steps see nonzero Adam moments
         loss = agent.qr_update(batch)
-        want = reference_update(ref, batch)
-        assert state_bits(agent) == state_bits(ref)
+        want = reference_update(agent, ref, batch)
+        assert state_bits(agent) == ref_bits(ref)
         assert loss == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 

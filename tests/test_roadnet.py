@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import simple_paths_bruteforce
 from qrrn.roadnet import (BadParams, DanglingEdge, DuplicateAction,
@@ -102,6 +103,26 @@ def test_roundtrip_identity(two_route_map, three_route_map, diamond_map):
         again = parse_map(emit_map(m))
         assert again == m
         assert np.array_equal(again.trans, m.trans)
+
+
+@st.composite
+def scenarios(draw):
+    noisy = draw(st.integers(3, 30))
+    robust = draw(st.integers(noisy + 1, 40))
+    if draw(st.booleans()):
+        return generate_scenario("two-route", ScenarioParams(noisy, robust))
+    robust2 = draw(st.integers(robust, 45))
+    return generate_scenario("three-route", ScenarioParams(noisy, robust, robust2))
+
+
+@settings(max_examples=60)
+@given(scenarios())
+def test_generated_scenarios_roundtrip(m):
+    text = emit_map(m)
+    again = parse_map(text)
+    assert again == m
+    assert np.array_equal(again.trans, m.trans)
+    assert emit_map(again) == text
 
 
 # ---------------------------------------------------------------------------

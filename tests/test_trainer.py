@@ -1,10 +1,13 @@
+import importlib.util
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qrrn import trainer as trainer_mod
+from qrrn import nn, trainer as trainer_mod
 from qrrn.env import EnvConfig
 from qrrn.learner import Agent, AgentConfig
 from qrrn.policies import ExecPolicy
@@ -15,10 +18,11 @@ from qrrn.trainer import (AggRow, Checkpoint, CorruptCheckpoint, EpisodeTrace,
                           load_checkpoint, load_run_config,
                           ranked_crosswalk_free_routes, read_checkpoint,
                           resolve_graph, run_lr_sweep, run_trials,
-                          save_checkpoint, train_one, _agent_arrays)
+                          save_checkpoint, train_one, _agent_arrays,
+                          _learner_arrays)
 
-FIXTURE = (Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
-           / "town-b-seed1.qrrn")
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+FIXTURE = BENCHMARKS / "fixtures" / "town-b-seed1.qrrn"
 POLS = [ExecPolicy("greedy"), ExecPolicy("ssd"), ExecPolicy("t-ssd", 15.0)]
 
 
@@ -249,7 +253,6 @@ def test_checkpoint_roundtrip_bitexact(tmp_path, two_route_map):
 def test_checkpoint_network_roundtrip(tmp_path):
     agent = Agent(AgentConfig(backend="network", hidden=(8, 8)), 6, 2, seed=3)
     x = np.eye(6)
-    from qrrn import nn
     before = nn.forward(agent.head.net, x)
     save_checkpoint(agent, str(tmp_path / "n.qrrn"))
     again = load_checkpoint(str(tmp_path / "n.qrrn"))
@@ -324,10 +327,10 @@ def test_split_run_equivalence(tmp_path):
     assert resumed.rows == full.rows
     np.testing.assert_array_equal(resumed.agent.head.theta,
                                   full.agent.head.theta)
-    np.testing.assert_array_equal(resumed.agent.adam.m[0],
-                                  full.agent.adam.m[0])
-    np.testing.assert_array_equal(resumed.agent.adam.v[0],
-                                  full.agent.adam.v[0])
+    np.testing.assert_array_equal(resumed.agent.adam.m,
+                                  full.agent.adam.m)
+    np.testing.assert_array_equal(resumed.agent.adam.v,
+                                  full.agent.adam.v)
     np.testing.assert_array_equal(resumed.agent.buffer.s, full.agent.buffer.s)
     assert resumed.agent.adam.t == full.agent.adam.t
 
@@ -378,3 +381,137 @@ def test_network_backend_trains_and_resumes(tmp_path):
                     full.agent.head.net.weights):
         np.testing.assert_array_equal(a, b)
     assert resumed.agent.adam.t == full.agent.adam.t
+
+
+# ---------------------------------------------------------------------------
+# damaged checkpoints
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A directory holding a copy of the stored tabular fixture and a small
+    network checkpoint, to write damaged copies beside."""
+    scratch = tmp_path_factory.mktemp("damaged")
+    (scratch / "fixture.qrrn").write_bytes(FIXTURE.read_bytes())
+    net = Agent(AgentConfig(backend="network", hidden=(4,), buffer_size=32),
+                5, 2, seed=1)
+    save_checkpoint(net, str(scratch / "network.qrrn"))
+    return scratch
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["fixture", "network"]), st.data())
+def test_every_truncation_is_corrupt(saved, which, data):
+    blob = (saved / f"{which}.qrrn").read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    path = saved / "cut.qrrn"
+    path.write_bytes(blob[:cut])
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(str(path))
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(["fixture", "network"]), st.data())
+def test_header_bit_flip_loads_or_raises_a_checkpoint_error(saved, which, data):
+    # the header is the fixed prefix (magic, version, length) and the JSON
+    blob = bytearray((saved / f"{which}.qrrn").read_bytes())
+    header_bits = 8 * (10 + struct.unpack("<I", blob[6:10])[0])
+    bit = data.draw(st.integers(0, header_bits - 1))
+    blob[bit // 8] ^= 1 << (bit % 8)
+    path = saved / "flip.qrrn"
+    path.write_bytes(bytes(blob))
+    try:
+        read_checkpoint(str(path)).build_agent()
+    except (CorruptCheckpoint, VersionMismatch, ValueError):
+        pass        # ValueError covers MapError and bad agent configs
+
+
+def test_build_agent_names_missing_header_key_or_array():
+    ck = read_checkpoint(str(FIXTURE))
+    del ck.header["buffer"]["cursor"]
+    with pytest.raises(CorruptCheckpoint, match="buffer.cursor"):
+        ck.build_agent()
+    ck = read_checkpoint(str(FIXTURE))
+    del ck.arrays["buf_done"]
+    with pytest.raises(CorruptCheckpoint, match="buf_done"):
+        ck.build_agent()
+    ck = read_checkpoint(str(FIXTURE))
+    ck.header["buffer"]["size"] = ck.header["buffer"]["capacity"] + 1
+    with pytest.raises(CorruptCheckpoint, match="buffer"):
+        ck.build_agent()
+
+
+# ---------------------------------------------------------------------------
+# flat parameter vectors
+
+def assert_slots_are_views(agent: Agent) -> None:
+    """Every slot a checkpoint names, and every array the head reads its
+    atoms from, is a view of the flat vector the optimizer and the target
+    sync update; a rebinding that detached one would go stale silently."""
+    h = agent.head
+    flats = [h.params, h.target, agent.adam.m, agent.adam.v]
+    for i, a in enumerate(flats):
+        for b in flats[i + 1:]:
+            assert not np.shares_memory(a, b)
+    names = dict.fromkeys(h.names[0], h.params)
+    names.update(dict.fromkeys(h.names[1], h.target))
+    names.update(dict.fromkeys(h.names[2], agent.adam.m))
+    names.update(dict.fromkeys(h.names[3], agent.adam.v))
+    pairs = _learner_arrays(agent)
+    assert sorted(name for name, _ in pairs) == sorted(names)
+    for name, view in pairs:
+        assert np.shares_memory(view, names[name]), name
+    for flat in flats:
+        sizes = [v.size for name, v in pairs if names[name] is flat]
+        assert sum(sizes) == flat.size
+    if agent.cfg.backend == "tabular":
+        assert np.shares_memory(h.theta, h.params)
+        assert np.shares_memory(h.theta_target, h.target)
+    else:
+        for p in nn.params(h.net):
+            assert np.shares_memory(p, h.params)
+        for p in nn.params(h.net_target):
+            assert np.shares_memory(p, h.target)
+
+
+@pytest.mark.parametrize("backend", ["tabular", "network"])
+def test_head_slots_share_the_flat_vectors(tmp_path, backend):
+    agent = Agent(AgentConfig(backend=backend, hidden=(5, 3)), 4, 3, seed=2)
+    assert_slots_are_views(agent)
+    path = str(tmp_path / "c.qrrn")
+    save_checkpoint(agent, path)
+    assert_slots_are_views(load_checkpoint(path))
+    assert_slots_are_views(read_checkpoint(str(FIXTURE)).build_agent())
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans",
+                                                  BENCHMARKS / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_entry_points_stay_on_the_training_path(tmp_path):
+    # the benchmark's tracer wraps these names where callers look them up;
+    # a step that bypassed one would vanish from the per-layer table
+    cfg = small_cfg(total_steps=600, eval_interval=300, seeds=[4],
+                    agent=AgentConfig(backend="network", hidden=(8,),
+                                      buffer_size=64, batch_size=8,
+                                      target_sync_interval=100),
+                    exec_policies=[ExecPolicy("greedy")])
+    path = str(tmp_path / "c.qrrn")
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        train_one(cfg, 4, checkpoint_path=path)
+        load_checkpoint(path)
+    finally:
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    updates = cfg.total_steps - cfg.agent.batch_size + 1
+    assert stats["learner.Agent.qr_update"][0] == updates
+    assert stats["nn.adam_step"][0] == updates
+    assert stats["nn.backward"][0] == updates
+    assert stats["nn.forward"][0] > 2 * updates
+    assert stats["nn.clone"][0] == 2
+    assert stats["learner.Agent.sync_target"][0] == 6
