@@ -150,9 +150,10 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint_graph(ck: Checkpoint):
-    if "map_document" not in ck.header.get("config", {}):
-        raise ConfigFailure("checkpoint carries no map document")
-    return ck.build_graph()
+    try:
+        return ck.build_graph()
+    except CorruptCheckpoint as exc:
+        raise ConfigFailure(f"cannot use checkpoint: {exc}") from exc
 
 
 def _checkpoint_env_cfg(ck: Checkpoint) -> EnvConfig:

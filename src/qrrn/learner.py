@@ -215,13 +215,16 @@ class TableHead:
         self.params, self.target = np.zeros(size), np.zeros(size)
         self.theta = self.params.reshape(shape)
         self.theta_target = self.target.reshape(shape)
+        self._rows = self.params.reshape(-1, n)     # one row per (s, a) cell
         self._atoms = np.arange(n)[:, None]
 
     def dists(self, states, target: bool = False) -> np.ndarray:
         return (self.theta_target if target else self.theta)[states]
 
     def online(self, states, actions):
-        return self.theta[states, actions], None
+        # the flat (s, a) cell index is the trace ``grads`` scatters with
+        cells = states * self.theta.shape[1] + actions
+        return self._rows.take(cells, axis=0), cells
 
     def bootstrap(self, next_states) -> np.ndarray:
         # one mean over the whole target table; s' picks the rows
@@ -229,10 +232,9 @@ class TableHead:
         return tt[next_states, greedy(tt)[next_states]]
 
     def grads(self, states, actions, g, trace) -> np.ndarray:
-        th = self.theta
-        cells = (states * th.shape[1] + actions) * th.shape[2]
         # bincount adds each cell's terms in batch order, as np.add.at
-        return np.bincount((cells + self._atoms).ravel(), g.ravel(), th.size)
+        idx = trace * self.theta.shape[2] + self._atoms
+        return np.bincount(idx.ravel(), g.ravel(), self.params.size)
 
 
 class NetHead:
@@ -316,8 +318,8 @@ class Agent:
     # ----- updates --------------------------------------------------------
 
     def _residuals(self, batch: Batch):
-        """TD residuals laid out atoms first, u[i, j, b], and the head's
-        forward trace of the online atoms.
+        """TD residuals laid out atoms first, u[i, j, b], in a C-ordered
+        array, and the head's trace of the online atoms for ``grads``.
 
         u[i, j, b] = r_b + gamma * theta_target_j(s'_b, a*_b)
         - theta_i(s_b, a_b), with the bootstrap term dropped on terminal
@@ -326,10 +328,16 @@ class Agent:
         if len(batch) == 0:
             raise EmptyBatch("batch is empty")
         th, trace = self.head.online(batch.s, batch.a)
-        target = self.head.bootstrap(batch.s_next).T * np.where(
-            batch.done, 0.0, self.cfg.gamma)
+        # written in C order: a ufunc over the transposed views' layout
+        # walks memory out of order, about 2x slower in the kernel
+        b, n = th.shape
+        target = np.multiply(self.head.bootstrap(batch.s_next).T,
+                             np.where(batch.done, 0.0, self.cfg.gamma),
+                             out=np.empty((n, b)))
         target += batch.r
-        return target[None, :, :] - th.T[:, None, :], trace
+        u = np.subtract(target[None, :, :], th.T[:, None, :],
+                        out=np.empty((n, n, b)))
+        return u, trace
 
     def td_deltas(self, batch: Batch) -> np.ndarray:
         """Residual tensor delta[b, i, j] for a minibatch, a transposed

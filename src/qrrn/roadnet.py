@@ -205,10 +205,6 @@ class GraphMap:
     def n_states(self) -> int:
         return len(self.nodes)
 
-    def successors(self, s: int):
-        """Distinct successor ids through real edges of node s, sorted."""
-        return sorted({e.dst for e in self.edges if e.src == s})
-
     def edge_set(self):
         return {(e.src, e.dst) for e in self.edges}
 

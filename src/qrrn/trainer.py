@@ -273,23 +273,27 @@ def train_one(cfg: RunConfig, seed: int, *, graph: GraphMap | None = None,
 
     if resume is not None:
         ck = resume if isinstance(resume, Checkpoint) else read_checkpoint(resume)
-        if ck.header.get("env_state") is None or \
-                ck.header.get("rng", {}).get("train") is None:
+        h = ck.header
+        env_state, rng_state = _field(h, "env_state"), _field(h, "rng", "train")
+        if env_state is None or rng_state is None:
             raise CorruptCheckpoint(
                 "checkpoint lacks training state (env/rng); only checkpoints "
                 "written by train_one can be resumed")
-        if seed != ck.header["seed"]:
+        if seed != _field(h, "seed"):
             raise ValueError(f"resume seed {seed} differs from the "
-                             f"checkpoint's seed {ck.header['seed']}")
-        if json.loads(json.dumps(cfg.to_dict())) != ck.header["config"].get("run"):
+                             f"checkpoint's seed {h['seed']}")
+        if json.loads(json.dumps(cfg.to_dict())) != _field(h, "config", "run"):
             raise ValueError("resume config differs from the checkpoint's")
         agent = ck.build_agent()
         env = RoadEnv(graph, cfg.env, (seed, STREAM_TRAIN_ENV))
-        env.set_state(ck.header["env_state"])
         train_rng = stream_rng(0)
-        train_rng.bit_generator.state = ck.header["rng"]["train"]
-        rows = [EvalRow(**row) for row in ck.header["curve_rows"]]
-        start_step = int(ck.header["step"])
+        try:
+            env.set_state(env_state)
+            train_rng.bit_generator.state = rng_state
+            rows = [EvalRow(**row) for row in _field(h, "curve_rows")]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptCheckpoint(f"unreadable training state: {exc!r}") from exc
+        start_step = agent.steps_done
     else:
         agent = Agent(cfg.agent, graph.n_states, graph.action_dim,
                       seed=(seed, STREAM_INIT))
@@ -549,7 +553,7 @@ class Checkpoint:
         return self.arrays[name]
 
     def build_graph(self) -> GraphMap:
-        return map_from_dict(self.header["config"]["map_document"])
+        return map_from_dict(_field(self.header, "config", "map_document"))
 
 
 def _field(doc, *keys):

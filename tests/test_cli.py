@@ -333,6 +333,14 @@ def test_checkpoint_missing_header_key_is_a_usage_error(tmp_path, capsys):
         assert "step" in stderr and "Traceback" not in stderr
 
 
+def test_checkpoint_without_map_document_is_a_usage_error(tmp_path, capsys):
+    ck = damaged_fixture(tmp_path / "nomap.qrrn",
+                         lambda h: h["config"].pop("map_document"))
+    code, _, stderr = run(capsys, "eval", ck)
+    assert code == 2
+    assert "config.map_document" in stderr and "Traceback" not in stderr
+
+
 def test_checkpoint_arrays_not_matching_dims_is_a_usage_error(tmp_path, capsys):
     ck = damaged_fixture(tmp_path / "dims.qrrn",
                          lambda h: h["dims"].update(n_states=5))

@@ -173,6 +173,41 @@ def test_kernel_gradient_and_loss_match_quantile_huber(n, b, kappa, data):
                                  rel=1e-12, abs=1e-300)
 
 
+def permuted(u: np.ndarray) -> np.ndarray:
+    """u's values laid out in memory as (b, i, j), the layout broadcasting
+    gave the residuals before they were written in C order."""
+    return np.ascontiguousarray(u.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+@SETTINGS
+@given(st.integers(1, 9), st.sampled_from([1, 7, 64]),
+       st.sampled_from([0.05, 0.7, 1.0, 3.0]), st.data())
+def test_kernel_output_does_not_depend_on_layout(n, b, kappa, data):
+    u = data.draw(arrays(float, (n, n, b), elements=VALUES))
+    weights = Agent(AgentConfig(n_quantiles=n), 1, 1)._kernel_weights(b)
+    other = permuted(u)
+    assert not other.flags.c_contiguous or min(n, b) == 1
+    g, loss = _quantile_step(u, weights, kappa)
+    g_other, loss_other = _quantile_step(other, weights, kappa)
+    assert bits(g) == bits(g_other)
+    assert bits(loss) == bits(loss_other)
+
+
+@SETTINGS
+@given(st.sampled_from(["tabular", "network"]).flatmap(cases))
+def test_residuals_are_c_ordered_with_unchanged_values(case):
+    agent, batch = case
+    u, _ = agent._residuals(batch)
+    assert u.flags.c_contiguous
+    # the residuals as broadcasting built them, before the C-order writes
+    th, _ = agent.head.online(batch.s, batch.a)
+    target = agent.head.bootstrap(batch.s_next).T * np.where(
+        batch.done, 0.0, agent.cfg.gamma)
+    target += batch.r
+    want = target[None, :, :] - th.T[:, None, :]
+    assert bits(agent.td_deltas(batch)) == bits(want.transpose(2, 0, 1))
+
+
 def test_td_deltas_terminal_rows_and_bootstrap_choice():
     agent = Agent(AgentConfig(n_quantiles=3), n_states=3, n_actions=2)
     agent.head.theta[:] = np.arange(18.0).reshape(3, 2, 3)

@@ -425,6 +425,64 @@ def test_header_bit_flip_loads_or_raises_a_checkpoint_error(saved, which, data):
         pass        # ValueError covers MapError and bad agent configs
 
 
+@pytest.fixture(scope="module")
+def paused(tmp_path_factory):
+    """A tabular run stopped at step 500, for resumes from damaged copies."""
+    cfg = small_cfg(total_steps=2000, eval_interval=1000, seeds=[1])
+    path = str(tmp_path_factory.mktemp("paused") / "mid.qrrn")
+    train_one(cfg, 1, stop_at=500, checkpoint_path=path)
+    return cfg, path
+
+
+def drop(*keys):
+    def edit(header):
+        for key in keys[:-1]:
+            header = header[key]
+        del header[keys[-1]]
+    return edit
+
+
+def set_null(*keys):
+    def edit(header):
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = None
+    return edit
+
+
+@pytest.mark.parametrize("edit, names", [
+    pytest.param(drop("seed"), "seed", id="no-seed"),
+    pytest.param(drop("config", "run"), "config.run", id="no-run-config"),
+    pytest.param(drop("curve_rows"), "curve_rows", id="no-curve-rows"),
+    pytest.param(drop("env_state"), "env_state", id="no-env-state"),
+    pytest.param(drop("rng"), "rng.train", id="no-rng"),
+    pytest.param(set_null("rng"), "rng.train", id="null-rng"),
+    pytest.param(drop("step"), "step", id="no-step"),
+    pytest.param(drop("env_state", "current"), "current", id="env-state-short"),
+    pytest.param(set_null("curve_rows"), "training state", id="null-curve-rows"),
+    pytest.param(lambda h: h["curve_rows"].append({"seed": 1}),
+                 "training state", id="curve-row-short"),
+    pytest.param(lambda h: h["rng"].update(train={"bit_generator": "MT19937"}),
+                 "training state", id="rng-other-generator"),
+])
+def test_resume_from_damaged_header_is_corrupt(paused, edit, names):
+    cfg, path = paused
+    ck = read_checkpoint(path)
+    edit(ck.header)
+    with pytest.raises(CorruptCheckpoint, match=names):
+        train_one(cfg, 1, resume=ck)
+
+
+def test_build_graph_names_missing_map_document(paused):
+    ck = read_checkpoint(paused[1])
+    del ck.header["config"]["map_document"]
+    with pytest.raises(CorruptCheckpoint, match="config.map_document"):
+        ck.build_graph()
+    ck.header["config"] = None
+    with pytest.raises(CorruptCheckpoint, match="config.map_document"):
+        ck.build_graph()
+
+
 def test_build_agent_names_missing_header_key_or_array():
     ck = read_checkpoint(str(FIXTURE))
     del ck.header["buffer"]["cursor"]
