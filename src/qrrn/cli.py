@@ -10,7 +10,8 @@ Subcommands:
 * ``inspect``: per-action return distributions stored in a checkpoint
 
 Exit codes are stable for scripting: 0 success, 1 runtime failure,
-2 usage/config error, 3 I/O failure. Diagnostics go to stderr only.
+2 usage error or a damaged or ill-typed run config, map or checkpoint,
+3 I/O failure. Diagnostics go to stderr only.
 The environment variable ``QRRN_SEED_OFFSET`` (integer) is added to all
 configured seeds, which lets clusters shard studies without editing
 configs.
@@ -33,7 +34,7 @@ from .quantdist import cvar, mean as dist_mean, variance as dist_variance
 from .roadnet import (MapError, Route, ScenarioParams, emit_map,
                       enumerate_routes, generate_scenario, parse_map,
                       render_routes, shortest_path)
-from .trainer import (Checkpoint, CorruptCheckpoint, RunConfig,
+from .trainer import (CorruptCheckpoint, RunConfig,
                       VersionMismatch, aggregate_csv_text, curve_auc,
                       curves_csv_text, curves_svg_text, evaluate,
                       load_run_config, open_replacing, read_checkpoint,
@@ -99,8 +100,8 @@ def _load_config(path: str, seeds=None, total_steps=None, out_dir=None) -> RunCo
         if offset:
             cfg = replace(cfg, seeds=[s + offset for s in cfg.seeds])
         return cfg
-    except ValueError as exc:
-        raise ConfigFailure(str(exc)) from exc
+    except (TypeError, ValueError) as exc:     # ill-typed or invalid values
+        raise ConfigFailure(f"bad config {path}: {exc}") from exc
 
 
 def _parse_seed_list(text: str):
@@ -149,24 +150,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_graph(ck: Checkpoint):
-    try:
-        return ck.build_graph()
-    except CorruptCheckpoint as exc:
-        raise ConfigFailure(f"cannot use checkpoint: {exc}") from exc
-
-
-def _checkpoint_env_cfg(ck: Checkpoint) -> EnvConfig:
-    run = ck.header.get("config", {}).get("run")
-    if run and "env" in run:
-        return EnvConfig.from_dict(run["env"])
-    return EnvConfig()
-
-
 def cmd_eval(args) -> int:
     ck, agent = _load_ck(args.checkpoint)
-    graph = _checkpoint_graph(ck)
-    env_cfg = _checkpoint_env_cfg(ck)
+    graph = ck.build_graph()
+    run = ck.run_config()
+    env_cfg = EnvConfig() if run is None else run.env
     policy = ExecPolicy(kind=args.policy, ssd_thres=args.ssd_thres)
     trace = evaluate(agent, policy, graph, env_cfg, agent.cfg.gamma,
                      args.episode_cap, args.seed)
@@ -177,15 +165,12 @@ def cmd_eval(args) -> int:
 
 
 def _load_ck(path: str):
-    """The checkpoint at ``path`` and the agent it holds. A missing,
-    damaged or mismatched file is a usage error."""
+    """The checkpoint at ``path`` and the agent it holds."""
     try:
         ck = read_checkpoint(path)
-        return ck, ck.build_agent()
     except FileNotFoundError as exc:
         raise ConfigFailure(f"no such checkpoint: {path}") from exc
-    except (CorruptCheckpoint, VersionMismatch) as exc:
-        raise ConfigFailure(f"cannot load {path}: {exc}") from exc
+    return ck, ck.build_agent()
 
 
 def cmd_trials(args) -> int:
@@ -300,6 +285,7 @@ def _load_route(path: str, graph) -> Route:
 
 def cmd_inspect(args) -> int:
     ck, agent = _load_ck(args.checkpoint)
+    run = ck.run_config()
     if not (0 <= args.state < agent.n_states):
         raise ConfigFailure(f"state {args.state} outside 0..{agent.n_states - 1}")
     dists = agent.action_dists(args.state)
@@ -309,9 +295,7 @@ def cmd_inspect(args) -> int:
         print(f"  action {a}: atoms [{atoms}]  mean {dist_mean(dists[a]):+.4f}  "
               f"var {dist_variance(dists[a]):.4f}  "
               f"cvar(0.5) {cvar(dists[a], 0.5):+.4f}")
-    run = ck.header.get("config", {}).get("run") or {}
-    pols = [ExecPolicy.from_dict(p) for p in run.get("exec_policies", [])] or \
-        [ExecPolicy("greedy"), ExecPolicy("ssd")]
+    pols = run.exec_policies if run else [ExecPolicy("greedy"), ExecPolicy("ssd")]
     if args.ssd_thres is not None:
         pols = [p for p in pols if p.kind != "t-ssd"]
         pols.append(ExecPolicy("t-ssd", ssd_thres=args.ssd_thres))
@@ -396,11 +380,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigFailure as exc:
+    except (ConfigFailure, ValueError) as exc:     # MapError is a ValueError
         _err(str(exc))
         return EXIT_USAGE
-    except (MapError, ValueError) as exc:
-        _err(str(exc))
+    except (CorruptCheckpoint, VersionMismatch) as exc:
+        _err(f"bad checkpoint: {exc}")
         return EXIT_USAGE
     except IoFailure as exc:
         _err(str(exc))

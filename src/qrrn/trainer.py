@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +44,7 @@ STREAM_INIT = 4
 
 CHECKPOINT_MAGIC = b"QRRN"
 CHECKPOINT_VERSION = 1
+_BUFFER_COLUMNS = ("s", "a", "r", "s_next", "done")     # as buf_*, in file order
 
 
 class VersionMismatch(RuntimeError):
@@ -136,12 +138,9 @@ def load_run_config(doc: dict) -> RunConfig:
         kwargs["env"] = EnvConfig.from_dict(doc["env"])
     if "agent" in doc:
         kwargs["agent"] = AgentConfig.from_dict(doc["agent"])
-    for key, attr in (("total_steps", "total_steps"),
-                      ("eval_interval", "eval_interval"),
-                      ("eval_episode_cap", "eval_episode_cap"),
-                      ("out_dir", "out_dir")):
+    for key in ("total_steps", "eval_interval", "eval_episode_cap", "out_dir"):
         if key in doc:
-            kwargs[attr] = doc[key]
+            kwargs[key] = doc[key]
     if "exec_policies" in doc:
         kwargs["exec_policies"] = [ExecPolicy.from_dict(p)
                                    for p in doc["exec_policies"]]
@@ -273,26 +272,13 @@ def train_one(cfg: RunConfig, seed: int, *, graph: GraphMap | None = None,
 
     if resume is not None:
         ck = resume if isinstance(resume, Checkpoint) else read_checkpoint(resume)
-        h = ck.header
-        env_state, rng_state = _field(h, "env_state"), _field(h, "rng", "train")
-        if env_state is None or rng_state is None:
-            raise CorruptCheckpoint(
-                "checkpoint lacks training state (env/rng); only checkpoints "
-                "written by train_one can be resumed")
-        if seed != _field(h, "seed"):
+        ck_seed, ck_cfg, env, train_rng, rows = ck.resume_state(graph)
+        if seed != ck_seed:
             raise ValueError(f"resume seed {seed} differs from the "
-                             f"checkpoint's seed {h['seed']}")
-        if json.loads(json.dumps(cfg.to_dict())) != _field(h, "config", "run"):
+                             f"checkpoint's seed {ck_seed}")
+        if json.loads(json.dumps(cfg.to_dict())) != ck_cfg.to_dict():
             raise ValueError("resume config differs from the checkpoint's")
         agent = ck.build_agent()
-        env = RoadEnv(graph, cfg.env, (seed, STREAM_TRAIN_ENV))
-        train_rng = stream_rng(0)
-        try:
-            env.set_state(env_state)
-            train_rng.bit_generator.state = rng_state
-            rows = [EvalRow(**row) for row in _field(h, "curve_rows")]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptCheckpoint(f"unreadable training state: {exc!r}") from exc
         start_step = agent.steps_done
     else:
         agent = Agent(cfg.agent, graph.n_states, graph.action_dim,
@@ -514,35 +500,36 @@ def curves_svg_text(agg, width: int = 640, height: int = 400) -> str:
 
 @dataclass
 class Checkpoint:
-    version: int
+    """A checkpoint file's JSON ``header`` and float64 ``arrays``. The
+    header is outside input, read only by ``build_agent``, ``build_graph``,
+    ``run_config`` and ``resume_state``: each parses the fields it needs
+    when called, and a missing or ill-typed field is a ``CorruptCheckpoint``
+    (exit 2 in the CLI)."""
     header: dict
     arrays: dict
 
     def build_agent(self) -> Agent:
-        """The agent the checkpoint holds. A header field or array that is
-        missing or disagrees with the dims raises ``CorruptCheckpoint``."""
+        """The agent the checkpoint holds; an array that is missing or
+        disagrees with the dims is corrupt too."""
         h = self.header
-        cfg = AgentConfig.from_dict(_field(h, "config", "agent"))
-        agent = Agent(cfg, _field(h, "dims", "n_states"),
-                      _field(h, "dims", "n_actions"))
-        for name, arr in _learner_arrays(agent):
-            np.copyto(arr, self._array(name, arr.shape))
-        agent.adam.t = int(_field(h, "adam_t") or 0)
-        buf = agent.buffer
-        if _field(h, "buffer", "capacity") != buf.capacity:
-            raise CorruptCheckpoint("buffer capacity mismatch")
-        size = int(_field(h, "buffer", "size"))
-        cursor = int(_field(h, "buffer", "cursor"))
-        if not (0 <= size <= buf.capacity and 0 <= cursor < buf.capacity):
-            raise CorruptCheckpoint("buffer position outside its capacity")
-        buf.size, buf.cursor = size, cursor
-        shape = (buf.capacity,)
-        buf.s[:] = self._array("buf_s", shape).astype(np.int64)
-        buf.a[:] = self._array("buf_a", shape).astype(np.int64)
-        buf.r[:] = self._array("buf_r", shape)
-        buf.s_next[:] = self._array("buf_s_next", shape).astype(np.int64)
-        buf.done[:] = self._array("buf_done", shape) != 0.0
-        agent.steps_done = int(_field(h, "step"))
+        with _reading("agent"):
+            cfg = AgentConfig.from_dict(_field(h, "config", "agent"))
+            agent = Agent(cfg, _field(h, "dims", "n_states"),
+                          _field(h, "dims", "n_actions"))
+            for name, arr in _learner_arrays(agent):
+                np.copyto(arr, self._array(name, arr.shape))
+            agent.adam.t = int(_field(h, "adam_t") or 0)
+            buf = agent.buffer
+            if _field(h, "buffer", "capacity") != buf.capacity:
+                raise CorruptCheckpoint("buffer capacity mismatch")
+            size = int(_field(h, "buffer", "size"))
+            cursor = int(_field(h, "buffer", "cursor"))
+            if not (0 <= size <= buf.capacity and 0 <= cursor < buf.capacity):
+                raise CorruptCheckpoint("buffer position outside its capacity")
+            buf.size, buf.cursor = size, cursor
+            for col in _BUFFER_COLUMNS:     # cast from float64, as astype does
+                getattr(buf, col)[:] = self._array(f"buf_{col}", (buf.capacity,))
+            agent.steps_done = int(_field(h, "step"))
         return agent
 
     def _array(self, name: str, shape) -> np.ndarray:
@@ -553,7 +540,34 @@ class Checkpoint:
         return self.arrays[name]
 
     def build_graph(self) -> GraphMap:
-        return map_from_dict(_field(self.header, "config", "map_document"))
+        with _reading("map document"):
+            return map_from_dict(_field(self.header, "config", "map_document"))
+
+    def run_config(self) -> RunConfig | None:
+        """The run config the agent was trained under; None when the
+        checkpoint was saved without one."""
+        config = _field(self.header, "config")
+        if isinstance(config, dict) and "run" not in config:
+            return None
+        with _reading("run config"):
+            return load_run_config(_field(self.header, "config", "run"))
+
+    def resume_state(self, graph: GraphMap) -> tuple:
+        """(seed, run config, training environment on ``graph``, exploration
+        RNG, curve rows) as ``train_one`` left them at the checkpoint."""
+        h = self.header
+        env_state, rng_state = _field(h, "env_state"), _field(h, "rng", "train")
+        cfg = self.run_config()
+        if env_state is None or rng_state is None or cfg is None:
+            raise CorruptCheckpoint("no training state (config.run, env, rng)")
+        with _reading("training state"):
+            seed = operator.index(_field(h, "seed"))
+            env = RoadEnv(graph, cfg.env, (seed, STREAM_TRAIN_ENV))
+            env.set_state(env_state)
+            train_rng = stream_rng(0)
+            train_rng.bit_generator.state = rng_state
+            rows = [EvalRow(**row) for row in _field(h, "curve_rows")]
+        return seed, cfg, env, train_rng, rows
 
 
 def _field(doc, *keys):
@@ -563,6 +577,16 @@ def _field(doc, *keys):
             raise CorruptCheckpoint(f"checkpoint header lacks {'.'.join(keys)}")
         doc = doc[key]
     return doc
+
+
+@contextlib.contextmanager
+def _reading(what: str):
+    """An error that an ill-typed header value raises while ``what`` is
+    built from it becomes a ``CorruptCheckpoint``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptCheckpoint(f"unreadable {what}: {exc!r}") from exc
 
 
 def _learner_arrays(agent: Agent) -> list:
@@ -581,12 +605,8 @@ def _learner_arrays(agent: Agent) -> list:
 
 def _agent_arrays(agent: Agent) -> dict:
     arrays = dict(_learner_arrays(agent))
-    buf = agent.buffer
-    arrays["buf_s"] = buf.s.astype(float)
-    arrays["buf_a"] = buf.a.astype(float)
-    arrays["buf_r"] = buf.r
-    arrays["buf_s_next"] = buf.s_next.astype(float)
-    arrays["buf_done"] = buf.done.astype(float)
+    for col in _BUFFER_COLUMNS:
+        arrays[f"buf_{col}"] = getattr(agent.buffer, col).astype(float)
     return arrays
 
 
@@ -648,25 +668,21 @@ def read_checkpoint(path: str) -> Checkpoint:
         raise CorruptCheckpoint("truncated header")
     try:
         header = json.loads(blob[10:10 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:       # bad UTF-8 or JSON, or an overlong int
         raise CorruptCheckpoint(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CorruptCheckpoint("header is not a JSON object")
     arrays = {}
     offset = 10 + hlen
-    for spec in header.get("arrays", []):
-        name, shape = _field(spec, "name"), tuple(_field(spec, "shape"))
-        nbytes = 8 * math.prod(shape)
-        if offset + nbytes > len(blob):
-            raise CorruptCheckpoint(f"truncated array {name}")
-        arrays[name] = np.frombuffer(
-            blob[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
-        offset += nbytes
+    with _reading("array table"):
+        for spec in _field(header, "arrays"):
+            name, shape = _field(spec, "name"), tuple(_field(spec, "shape"))
+            nbytes = 8 * math.prod(shape)
+            if offset + nbytes > len(blob):
+                raise CorruptCheckpoint(f"truncated array {name}")
+            arrays[name] = np.frombuffer(
+                blob[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
+            offset += nbytes
     if offset != len(blob):
         raise CorruptCheckpoint("trailing bytes after declared arrays")
-    return Checkpoint(version=version, header=header, arrays=arrays)
-
-
-def load_checkpoint(path: str) -> Agent:
-    """Rebuild just the agent from a checkpoint file."""
-    return read_checkpoint(path).build_agent()
+    return Checkpoint(header=header, arrays=arrays)

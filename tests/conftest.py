@@ -1,8 +1,17 @@
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from qrrn.roadnet import ScenarioParams, build_map, generate_scenario
+
+# a trained three-route checkpoint (format v1) kept with the benchmark
+FIXTURE = (Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+           / "town-b-seed1.qrrn")
+DROP = object()
 
 # property tests draw the same examples on every run and never time out
 settings.register_profile("qrrn", deadline=None, derandomize=True)
@@ -38,6 +47,35 @@ def diamond_map():
     return build_map("diamond", 4,
                      [(0, 1, 0), (0, 2, 1), (1, 3, 0), (2, 3, 0)],
                      start=0, goals={3})
+
+
+def header_edit(path: str, value=DROP):
+    """An edit of a checkpoint header: set the field at the dotted ``path``
+    (list indices are numbers) to ``value``, or delete it when no value is
+    given."""
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+
+    def edit(header):
+        for key in parents:
+            header = header[key]
+        if value is DROP:
+            del header[last]
+        else:
+            header[last] = value
+    return edit
+
+
+def damaged_fixture(path, edit):
+    """A copy of the stored checkpoint at ``path`` with ``edit`` applied to
+    its header."""
+    blob = FIXTURE.read_bytes()
+    hlen = struct.unpack("<I", blob[6:10])[0]
+    header = json.loads(blob[10:10 + hlen])
+    edit(header)
+    payload = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:6] + struct.pack("<I", len(payload)) + payload
+                     + blob[10 + hlen:])
+    return str(path)
 
 
 def simple_paths_bruteforce(graph):

@@ -1,16 +1,14 @@
 import json
 import os
-import struct
 from importlib import resources
-from pathlib import Path
+
+import pytest
+from conftest import damaged_fixture, header_edit
 
 from qrrn.cli import main
 from qrrn.learner import Agent, AgentConfig
 from qrrn.roadnet import parse_map, shortest_path
 from qrrn.trainer import save_checkpoint
-
-FIXTURE = (Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
-           / "town-b-seed1.qrrn")
 
 
 def run(capsys, *argv):
@@ -313,20 +311,8 @@ def test_inspect_corrupt_checkpoint(tmp_path, capsys):
     assert code == 2
 
 
-def damaged_fixture(path, edit):
-    """A copy of the stored checkpoint with ``edit`` applied to its header."""
-    blob = FIXTURE.read_bytes()
-    hlen = struct.unpack("<I", blob[6:10])[0]
-    header = json.loads(blob[10:10 + hlen])
-    edit(header)
-    payload = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:6] + struct.pack("<I", len(payload)) + payload
-                     + blob[10 + hlen:])
-    return str(path)
-
-
 def test_checkpoint_missing_header_key_is_a_usage_error(tmp_path, capsys):
-    ck = damaged_fixture(tmp_path / "nostep.qrrn", lambda h: h.pop("step"))
+    ck = damaged_fixture(tmp_path / "nostep.qrrn", header_edit("step"))
     for argv in (["eval", ck], ["inspect", ck, "--state", "0"]):
         code, _, stderr = run(capsys, *argv)
         assert code == 2
@@ -335,7 +321,7 @@ def test_checkpoint_missing_header_key_is_a_usage_error(tmp_path, capsys):
 
 def test_checkpoint_without_map_document_is_a_usage_error(tmp_path, capsys):
     ck = damaged_fixture(tmp_path / "nomap.qrrn",
-                         lambda h: h["config"].pop("map_document"))
+                         header_edit("config.map_document"))
     code, _, stderr = run(capsys, "eval", ck)
     assert code == 2
     assert "config.map_document" in stderr and "Traceback" not in stderr
@@ -343,8 +329,43 @@ def test_checkpoint_without_map_document_is_a_usage_error(tmp_path, capsys):
 
 def test_checkpoint_arrays_not_matching_dims_is_a_usage_error(tmp_path, capsys):
     ck = damaged_fixture(tmp_path / "dims.qrrn",
-                         lambda h: h["dims"].update(n_states=5))
+                         header_edit("dims.n_states", 5))
     for argv in (["eval", ck], ["inspect", ck, "--state", "0"]):
         code, _, stderr = run(capsys, *argv)
         assert code == 2
         assert "theta" in stderr and "Traceback" not in stderr
+
+
+# header values of the wrong type; each once made eval or inspect exit 1
+# with a traceback, or made eval fall back to a default env config
+ILL_TYPED_HEADERS = [
+    ("config.run", 3), ("config.run", [1]),
+    ("config.run.exec_policies", 5), ("config.run.env.episode_cap", "x"),
+    ("config.agent", 5), ("config.agent.hidden", 5),
+    ("dims.n_states", "18"), ("dims.n_states", [18]),
+    ("buffer.size", [1]), ("step", [1]),
+    ("arrays", 7), ("arrays.0.shape", 5), ("arrays.0.shape", ["a"]),
+]
+
+
+@pytest.mark.parametrize("path, value", ILL_TYPED_HEADERS,
+                         ids=[f"{p}={v!r}" for p, v in ILL_TYPED_HEADERS])
+def test_ill_typed_checkpoint_header_is_a_usage_error(tmp_path, capsys,
+                                                      path, value):
+    ck = damaged_fixture(tmp_path / "typed.qrrn", header_edit(path, value))
+    for argv in (["eval", ck], ["inspect", ck, "--state", "0"]):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2, argv
+        assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("override", [
+    {"env": {"episode_cap": "x"}}, {"agent": {"lr": "x"}},
+    {"agent": {"hidden": 5}}, {"agent": 5}, {"total_steps": "x"},
+], ids=["episode_cap", "lr", "hidden", "agent", "total_steps"])
+def test_ill_typed_run_config_is_a_usage_error(tmp_path, capsys, override):
+    cfg = write_config(tmp_path / "cfg.json", **override)
+    code, _, stderr = run(capsys, "train", str(cfg), "--out",
+                          str(tmp_path / "out"))
+    assert code == 2
+    assert "Traceback" not in stderr

@@ -1,13 +1,16 @@
+import contextlib
 import importlib.util
+import io
 import math
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import FIXTURE, header_edit
 from hypothesis import given, settings, strategies as st
 
-from qrrn import nn, trainer as trainer_mod
+from qrrn import cli, nn, trainer as trainer_mod
 from qrrn.env import EnvConfig
 from qrrn.learner import Agent, AgentConfig
 from qrrn.policies import ExecPolicy
@@ -15,14 +18,13 @@ from qrrn.trainer import (AggRow, Checkpoint, CorruptCheckpoint, EpisodeTrace,
                           EvalRow, RunConfig, VersionMismatch, aggregate_rows,
                           aggregate_csv_text, classify_trace, curve_auc,
                           curves_csv_text, curves_svg_text, evaluate,
-                          load_checkpoint, load_run_config,
+                          load_run_config,
                           ranked_crosswalk_free_routes, read_checkpoint,
                           resolve_graph, run_lr_sweep, run_trials,
                           save_checkpoint, train_one, _agent_arrays,
                           _learner_arrays)
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
-FIXTURE = BENCHMARKS / "fixtures" / "town-b-seed1.qrrn"
 POLS = [ExecPolicy("greedy"), ExecPolicy("ssd"), ExecPolicy("t-ssd", 15.0)]
 
 
@@ -239,7 +241,7 @@ def test_lr_sweep_plumbing():
 def test_checkpoint_roundtrip_bitexact(tmp_path, two_route_map):
     cfg = small_cfg(total_steps=2000, eval_interval=2000, seeds=[1])
     res = train_one(cfg, 1, checkpoint_path=str(tmp_path / "a.qrrn"))
-    agent = load_checkpoint(str(tmp_path / "a.qrrn"))
+    agent = read_checkpoint(str(tmp_path / "a.qrrn")).build_agent()
     np.testing.assert_array_equal(agent.head.theta, res.agent.head.theta)
     np.testing.assert_array_equal(agent.head.theta_target,
                                   res.agent.head.theta_target)
@@ -255,7 +257,7 @@ def test_checkpoint_network_roundtrip(tmp_path):
     x = np.eye(6)
     before = nn.forward(agent.head.net, x)
     save_checkpoint(agent, str(tmp_path / "n.qrrn"))
-    again = load_checkpoint(str(tmp_path / "n.qrrn"))
+    again = read_checkpoint(str(tmp_path / "n.qrrn")).build_agent()
     np.testing.assert_array_equal(nn.forward(again.head.net, x), before)
     assert again.adam.t == agent.adam.t
 
@@ -409,20 +411,42 @@ def test_every_truncation_is_corrupt(saved, which, data):
         read_checkpoint(str(path))
 
 
-@settings(max_examples=500)
-@given(st.sampled_from(["fixture", "network"]), st.data())
-def test_header_bit_flip_loads_or_raises_a_checkpoint_error(saved, which, data):
-    # the header is the fixed prefix (magic, version, length) and the JSON
+def flip_header_bit(saved, which, data, name):
+    """A copy of ``saved/<which>.qrrn`` with one bit of its header flipped;
+    the header is the fixed prefix (magic, version, length) and the JSON."""
     blob = bytearray((saved / f"{which}.qrrn").read_bytes())
     header_bits = 8 * (10 + struct.unpack("<I", blob[6:10])[0])
     bit = data.draw(st.integers(0, header_bits - 1))
     blob[bit // 8] ^= 1 << (bit % 8)
-    path = saved / "flip.qrrn"
+    path = saved / name
     path.write_bytes(bytes(blob))
+    return path
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(["fixture", "network"]), st.data())
+def test_header_bit_flip_loads_or_raises_a_checkpoint_error(saved, which, data):
+    path = flip_header_bit(saved, which, data, "flip.qrrn")
     try:
         read_checkpoint(str(path)).build_agent()
-    except (CorruptCheckpoint, VersionMismatch, ValueError):
-        pass        # ValueError covers MapError and bad agent configs
+    except (CorruptCheckpoint, VersionMismatch):
+        pass
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(["fixture", "network"]), st.data())
+def test_header_bit_flip_runs_or_is_a_usage_error(saved, which, data):
+    # eval and inspect on a flipped header succeed or exit 2, never with a
+    # traceback; eval also reads the map document and the run config
+    path = flip_header_bit(saved, which, data, "flip-cli.qrrn")
+    for argv in (["inspect", str(path), "--state", "0"],
+                 ["eval", str(path), "--episode-cap", "50"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -434,35 +458,21 @@ def paused(tmp_path_factory):
     return cfg, path
 
 
-def drop(*keys):
-    def edit(header):
-        for key in keys[:-1]:
-            header = header[key]
-        del header[keys[-1]]
-    return edit
-
-
-def set_null(*keys):
-    def edit(header):
-        for key in keys[:-1]:
-            header = header[key]
-        header[keys[-1]] = None
-    return edit
-
-
 @pytest.mark.parametrize("edit, names", [
-    pytest.param(drop("seed"), "seed", id="no-seed"),
-    pytest.param(drop("config", "run"), "config.run", id="no-run-config"),
-    pytest.param(drop("curve_rows"), "curve_rows", id="no-curve-rows"),
-    pytest.param(drop("env_state"), "env_state", id="no-env-state"),
-    pytest.param(drop("rng"), "rng.train", id="no-rng"),
-    pytest.param(set_null("rng"), "rng.train", id="null-rng"),
-    pytest.param(drop("step"), "step", id="no-step"),
-    pytest.param(drop("env_state", "current"), "current", id="env-state-short"),
-    pytest.param(set_null("curve_rows"), "training state", id="null-curve-rows"),
+    pytest.param(header_edit("seed"), "seed", id="no-seed"),
+    pytest.param(header_edit("config.run"), "config.run", id="no-run-config"),
+    pytest.param(header_edit("curve_rows"), "curve_rows", id="no-curve-rows"),
+    pytest.param(header_edit("env_state"), "env_state", id="no-env-state"),
+    pytest.param(header_edit("rng"), "rng.train", id="no-rng"),
+    pytest.param(header_edit("rng", None), "rng.train", id="null-rng"),
+    pytest.param(header_edit("step"), "step", id="no-step"),
+    pytest.param(header_edit("env_state.current"), "current",
+                 id="env-state-short"),
+    pytest.param(header_edit("curve_rows", None), "training state",
+                 id="null-curve-rows"),
     pytest.param(lambda h: h["curve_rows"].append({"seed": 1}),
                  "training state", id="curve-row-short"),
-    pytest.param(lambda h: h["rng"].update(train={"bit_generator": "MT19937"}),
+    pytest.param(header_edit("rng.train", {"bit_generator": "MT19937"}),
                  "training state", id="rng-other-generator"),
 ])
 def test_resume_from_damaged_header_is_corrupt(paused, edit, names):
@@ -537,7 +547,7 @@ def test_head_slots_share_the_flat_vectors(tmp_path, backend):
     assert_slots_are_views(agent)
     path = str(tmp_path / "c.qrrn")
     save_checkpoint(agent, path)
-    assert_slots_are_views(load_checkpoint(path))
+    assert_slots_are_views(read_checkpoint(path).build_agent())
     assert_slots_are_views(read_checkpoint(str(FIXTURE)).build_agent())
 
 
@@ -562,7 +572,7 @@ def test_traced_entry_points_stay_on_the_training_path(tmp_path):
     tracer.install()
     try:
         train_one(cfg, 4, checkpoint_path=path)
-        load_checkpoint(path)
+        read_checkpoint(path).build_agent()
     finally:
         tracer.uninstall()
     stats = tracer.layer_stats()
