@@ -37,7 +37,7 @@ from .roadnet import (MapError, Route, ScenarioParams, emit_map,
 from .trainer import (CorruptCheckpoint, RunConfig,
                       VersionMismatch, aggregate_csv_text, curve_auc,
                       curves_csv_text, curves_svg_text, evaluate,
-                      load_run_config, open_replacing, read_checkpoint,
+                      open_replacing, read_checkpoint,
                       resolve_graph, run_lr_sweep, run_trials, train_one)
 
 EXIT_OK = 0
@@ -89,11 +89,11 @@ def _load_config(path: str, seeds=None, total_steps=None, out_dir=None) -> RunCo
     except json.JSONDecodeError as exc:
         raise ConfigFailure(f"config {path} is not valid JSON: {exc}") from exc
     try:
-        cfg = load_run_config(doc)
+        cfg = RunConfig.from_dict(doc)
         if seeds is not None:
-            cfg = replace(cfg, seeds=[int(s) for s in seeds])
+            cfg = replace(cfg, seeds=seeds)
         if total_steps is not None:
-            cfg = replace(cfg, total_steps=int(total_steps))
+            cfg = replace(cfg, total_steps=total_steps)
         if out_dir is not None:
             cfg = replace(cfg, out_dir=out_dir)
         offset = _seed_offset()

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roadnet import GraphMap, InvalidAction, transition
+from .config import Config
+from .roadnet import GraphMap, InvalidState, transition
 
 
 class EpisodeFinished(RuntimeError):
@@ -50,7 +51,7 @@ def stream_rng(*keys) -> np.random.Generator:
 
 
 @dataclass
-class EnvConfig:
+class EnvConfig(Config):
     r_base: float = 1.0
     r_loopback: float = 0.0
     crosswalk_std: float = 1.0
@@ -68,22 +69,6 @@ class EnvConfig:
             raise ValueError(f"episode_cap must be >= 1, got {self.episode_cap}")
         if self.obs_encoding not in ("one-hot", "index"):
             raise ValueError(f"unknown obs_encoding {self.obs_encoding!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "r_base": self.r_base,
-            "r_loopback": self.r_loopback,
-            "crosswalk_std": self.crosswalk_std,
-            "episode_cap": self.episode_cap,
-            "obs_encoding": self.obs_encoding,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EnvConfig":
-        unknown = set(doc) - set(cls().to_dict())
-        if unknown:
-            raise ValueError(f"unknown env config keys {sorted(unknown)}")
-        return cls(**doc)
 
 
 def trunc_normal(mean: float, std: float, lo: float, hi: float,
@@ -182,6 +167,9 @@ class RoadEnv:
     def set_state(self, state: dict) -> None:
         self.current = int(state["current"])
         self.prev = int(state["prev"])
+        for s in (self.current, self.prev):
+            if not 0 <= s < self.graph.n_states:
+                raise InvalidState(f"state {s} outside 0..{self.graph.n_states - 1}")
         self.steps = int(state["steps"])
         self.episode = int(state["episode"])
         self.done = bool(state["done"])

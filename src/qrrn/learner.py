@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .config import Config
 from .policies import greedy
 # huber_terms is not called here; it stays importable under this name
 # because benchmarks/spans.py wraps it here to count its calls
@@ -113,7 +114,7 @@ class ReplayBuffer:
 
 
 @dataclass
-class AgentConfig:
+class AgentConfig(Config):
     n_quantiles: int = 4
     gamma: float = 0.99
     lr: float = 5e-4
@@ -125,7 +126,7 @@ class AgentConfig:
     target_sync_interval: int | None = None   # backend default: tabular 1, network 1000
     backend: str = "tabular"
     kappa: float = 1.0
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     optimizer: str = "adam"                   # "adam" | "sgd" (plain gradient step)
 
     def __post_init__(self):
@@ -147,7 +148,6 @@ class AgentConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be > 0")
-        self.hidden = tuple(int(h) for h in self.hidden)
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -156,30 +156,6 @@ class AgentConfig:
         if self.target_sync_interval is not None:
             return self.target_sync_interval
         return 1 if self.backend == "tabular" else 1000
-
-    def to_dict(self) -> dict:
-        return {
-            "n_quantiles": self.n_quantiles,
-            "gamma": self.gamma,
-            "lr": self.lr,
-            "buffer_size": self.buffer_size,
-            "batch_size": self.batch_size,
-            "gradient_steps": self.gradient_steps,
-            "exploration_fraction": self.exploration_fraction,
-            "exploration_final_eps": self.exploration_final_eps,
-            "target_sync_interval": self.target_sync_interval,
-            "backend": self.backend,
-            "kappa": self.kappa,
-            "hidden": list(self.hidden),
-            "optimizer": self.optimizer,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AgentConfig":
-        unknown = set(doc) - set(cls().to_dict())
-        if unknown:
-            raise ValueError(f"unknown agent config keys {sorted(unknown)}")
-        return cls(**doc)
 
 
 def epsilon(step: int, total_steps: int, cfg: AgentConfig) -> float:

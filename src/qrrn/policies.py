@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read
+
 
 class TooFewActions(ValueError):
     pass
@@ -152,9 +154,7 @@ class ExecPolicy:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecPolicy":
-        unknown = set(doc) - {"exec_policy", "ssd_thres"}
-        if unknown:
-            raise ValueError(f"unknown exec policy keys {sorted(unknown)}")
-        if "exec_policy" not in doc:
-            raise ValueError("exec policy entry missing 'exec_policy'")
+        """The kind is keyed ``exec_policy``; ``ssd_thres`` may be absent."""
+        doc = read(doc, {"exec_policy": str, "ssd_thres": float},
+                   {"exec_policy"}, "ExecPolicy")
         return cls(kind=doc["exec_policy"], ssd_thres=doc.get("ssd_thres", 0.0))

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config
+
 ALLOWED_TAGS = ("start", "goal", "crosswalk")
 
 # route overlay colors for DOT rendering
@@ -455,7 +457,7 @@ def enumerate_routes(m: GraphMap, max_length: int | None = None):
 # scenario generators
 
 @dataclass(frozen=True)
-class ScenarioParams:
+class ScenarioParams(Config):
     noisy_len: int
     robust_len: int
     robust2_len: int | None = None

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import Config
 from .env import EnvConfig, RoadEnv, stream_rng
 from .learner import Agent, AgentConfig
 from .nn import split
@@ -79,15 +80,16 @@ AGG_HEADER = ["exec_policy", "step", "mean_return", "stderr_return", "n_seeds"]
 
 
 @dataclass
-class RunConfig:
-    map_source: dict | str
+class RunConfig(Config):
+    map: dict | str
     env: EnvConfig = field(default_factory=EnvConfig)
     agent: AgentConfig = field(default_factory=AgentConfig)
     total_steps: int = 100_000
     eval_interval: int = 10_000
     eval_episode_cap: int = 1000
-    exec_policies: list = field(default_factory=lambda: [ExecPolicy("greedy")])
-    seeds: list = field(default_factory=lambda: [0])
+    exec_policies: list[ExecPolicy] = field(
+        default_factory=lambda: [ExecPolicy("greedy")])
+    seeds: list[int] = field(default_factory=lambda: [0])
     out_dir: str = "runs/out"
 
     def __post_init__(self):
@@ -97,7 +99,7 @@ class RunConfig:
             raise ValueError("eval_interval and eval_episode_cap must be >= 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if any(int(s) < 0 for s in self.seeds):
+        if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-negative")
         if not self.exec_policies:
             raise ValueError("exec_policies must be non-empty")
@@ -106,71 +108,21 @@ class RunConfig:
             # rows, aggregates and route files are keyed by label alone
             raise ValueError(f"exec_policies labels must be unique, got {labels}")
 
-    def to_dict(self) -> dict:
-        return {
-            "map": self.map_source,
-            "env": self.env.to_dict(),
-            "agent": self.agent.to_dict(),
-            "total_steps": self.total_steps,
-            "eval_interval": self.eval_interval,
-            "eval_episode_cap": self.eval_episode_cap,
-            "exec_policies": [p.to_dict() for p in self.exec_policies],
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-        }
 
-
-_RUN_KEYS = {"map", "env", "agent", "total_steps", "eval_interval",
-             "eval_episode_cap", "exec_policies", "seeds", "out_dir"}
-
-
-def load_run_config(doc: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document, applying defaults."""
-    if not isinstance(doc, dict):
-        raise ValueError("run config must be a JSON object")
-    unknown = set(doc) - _RUN_KEYS
-    if unknown:
-        raise ValueError(f"unknown run config keys {sorted(unknown)}")
-    if "map" not in doc:
-        raise ValueError("run config missing 'map'")
-    kwargs = {"map_source": doc["map"]}
-    if "env" in doc:
-        kwargs["env"] = EnvConfig.from_dict(doc["env"])
-    if "agent" in doc:
-        kwargs["agent"] = AgentConfig.from_dict(doc["agent"])
-    for key in ("total_steps", "eval_interval", "eval_episode_cap", "out_dir"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "exec_policies" in doc:
-        kwargs["exec_policies"] = [ExecPolicy.from_dict(p)
-                                   for p in doc["exec_policies"]]
-    if "seeds" in doc:
-        kwargs["seeds"] = [int(s) for s in doc["seeds"]]
-    return RunConfig(**kwargs)
+# the benchmark reads run configs under this name
+load_run_config = RunConfig.from_dict
 
 
 def resolve_graph(cfg: RunConfig) -> GraphMap:
     """Materialize the configured map (document, generator spec or path)."""
-    src = cfg.map_source
+    src = cfg.map
     if isinstance(src, str):
         with open(src, "r", encoding="utf-8") as fh:
             return parse_map(fh.read())
-    if not isinstance(src, dict):
-        raise ValueError("map must be a path or an object")
     if "kind" in src:
         spec = dict(src)
         kind = spec.pop("kind")
-        unknown = set(spec) - {"noisy_len", "robust_len", "robust2_len"}
-        if unknown:
-            raise ValueError(f"unknown scenario keys {sorted(unknown)}")
-        missing = {"noisy_len", "robust_len"} - set(spec)
-        if missing:
-            raise ValueError(f"scenario spec missing keys {sorted(missing)}")
-        params = ScenarioParams(noisy_len=int(spec["noisy_len"]),
-                                robust_len=int(spec["robust_len"]),
-                                robust2_len=(int(spec["robust2_len"])
-                                             if "robust2_len" in spec else None))
-        return generate_scenario(kind, params)
+        return generate_scenario(kind, ScenarioParams.from_dict(spec))
     return map_from_dict(src)
 
 
@@ -393,7 +345,7 @@ def run_trials(cfg: RunConfig, jobs: int = 1,
     for seed in cfg.seeds:
         path = (f"{checkpoint_dir}/checkpoint_seed{seed}.qrrn"
                 if checkpoint_dir is not None else None)
-        args.append((cfg, graph, int(seed), path))
+        args.append((cfg, graph, seed, path))
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_trial_job, args))
@@ -550,7 +502,7 @@ class Checkpoint:
         if isinstance(config, dict) and "run" not in config:
             return None
         with _reading("run config"):
-            return load_run_config(_field(self.header, "config", "run"))
+            return RunConfig.from_dict(_field(self.header, "config", "run"))
 
     def resume_state(self, graph: GraphMap) -> tuple:
         """(seed, run config, training environment on ``graph``, exploration

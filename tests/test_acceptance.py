@@ -36,7 +36,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def robust_study_config(map_source, total_steps):
     return RunConfig(
-        map_source=map_source,
+        map=map_source,
         env=EnvConfig(r_base=3.0, r_loopback=18.0),
         agent=AgentConfig(n_quantiles=4, gamma=0.99, lr=5e-4,
                           backend="tabular"),
@@ -214,7 +214,7 @@ def test_criterion_8_reward_model_statistics(two_route_map):
 
 def test_criterion_9_determinism_and_persistence(tmp_path):
     cfg = RunConfig(
-        map_source={"kind": "two-route", "noisy_len": 8, "robust_len": 10},
+        map={"kind": "two-route", "noisy_len": 8, "robust_len": 10},
         env=EnvConfig(r_base=3.0, r_loopback=18.0),
         agent=AgentConfig(n_quantiles=4, gamma=0.99, lr=5e-4,
                           backend="tabular"),

@@ -359,10 +359,31 @@ def test_ill_typed_checkpoint_header_is_a_usage_error(tmp_path, capsys,
         assert "Traceback" not in stderr
 
 
-@pytest.mark.parametrize("override", [
-    {"env": {"episode_cap": "x"}}, {"agent": {"lr": "x"}},
-    {"agent": {"hidden": 5}}, {"agent": 5}, {"total_steps": "x"},
-], ids=["episode_cap", "lr", "hidden", "agent", "total_steps"])
+ILL_TYPED_CONFIGS = {
+    "episode_cap": {"env": {"episode_cap": "x"}}, "lr": {"agent": {"lr": "x"}},
+    "hidden": {"agent": {"hidden": 5}}, "agent": {"agent": 5},
+    "total_steps": {"total_steps": "x"},
+    # each of these once trained without error on a coerced or ignored
+    # value, or failed mid-run with a traceback
+    "seeds-string": {"seeds": "12"}, "seeds-bool": {"seeds": [True]},
+    "seeds-float": {"seeds": [1.7]}, "hidden-string": {"agent": {"hidden": "64"}},
+    "eval_interval-float": {"eval_interval": 100.5},
+    "eval_episode_cap-float": {"eval_episode_cap": 50.5},
+    "target_sync_interval-float": {"agent": {"target_sync_interval": 2.5}},
+    "episode_cap-float": {"env": {"episode_cap": 10.5}},
+    "crosswalk_std-bool": {"env": {"crosswalk_std": True}},
+    "out_dir-int": {"out_dir": 5},
+    "total_steps-float": {"total_steps": 4000.0},
+    "batch_size-float": {"agent": {"batch_size": 8.0}},
+    "map-spec-lengths": {"map": {"kind": "two-route", "noisy_len": 8.9,
+                                 "robust_len": "10"}},
+    "ssd_thres-bool": {"exec_policies": [{"exec_policy": "t-ssd",
+                                          "ssd_thres": True}]},
+}
+
+
+@pytest.mark.parametrize("override", ILL_TYPED_CONFIGS.values(),
+                         ids=ILL_TYPED_CONFIGS.keys())
 def test_ill_typed_run_config_is_a_usage_error(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "cfg.json", **override)
     code, _, stderr = run(capsys, "train", str(cfg), "--out",

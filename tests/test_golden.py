@@ -117,7 +117,7 @@ def arrays_digest(arrays: dict) -> str:
 
 def study_digests(name: str, out_dir) -> dict:
     graph_doc, agent, total, interval = CASES[name]
-    cfg = RunConfig(map_source=graph_doc,
+    cfg = RunConfig(map=graph_doc,
                     env=EnvConfig(r_base=3.0, r_loopback=18.0), agent=agent,
                     total_steps=total, eval_interval=interval,
                     exec_policies=POLS, seeds=[1, 2])

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import json
 import math
 import struct
 from pathlib import Path
@@ -14,6 +15,7 @@ from qrrn import cli, nn, trainer as trainer_mod
 from qrrn.env import EnvConfig
 from qrrn.learner import Agent, AgentConfig
 from qrrn.policies import ExecPolicy
+from qrrn.roadnet import ScenarioParams
 from qrrn.trainer import (AggRow, Checkpoint, CorruptCheckpoint, EpisodeTrace,
                           EvalRow, RunConfig, VersionMismatch, aggregate_rows,
                           aggregate_csv_text, classify_trace, curve_auc,
@@ -30,7 +32,7 @@ POLS = [ExecPolicy("greedy"), ExecPolicy("ssd"), ExecPolicy("t-ssd", 15.0)]
 
 def small_cfg(**kw):
     base = dict(
-        map_source={"kind": "two-route", "noisy_len": 8, "robust_len": 10},
+        map={"kind": "two-route", "noisy_len": 8, "robust_len": 10},
         env=EnvConfig(r_base=3.0, r_loopback=18.0),
         agent=AgentConfig(),
         total_steps=4000,
@@ -78,14 +80,91 @@ def test_resolve_graph_variants(tmp_path, two_route_map):
     from qrrn.roadnet import emit_map, map_to_dict
     path = tmp_path / "m.json"
     path.write_text(emit_map(two_route_map))
-    assert resolve_graph(small_cfg(map_source=str(path))) == two_route_map
-    assert resolve_graph(small_cfg(map_source=map_to_dict(two_route_map))) \
+    assert resolve_graph(small_cfg(map=str(path))) == two_route_map
+    assert resolve_graph(small_cfg(map=map_to_dict(two_route_map))) \
         == two_route_map
     with pytest.raises(ValueError):
-        resolve_graph(small_cfg(map_source={"kind": "two-route", "noisy_len": 8,
-                                            "robust_len": 10, "spare": 1}))
+        resolve_graph(small_cfg(map={"kind": "two-route", "noisy_len": 8,
+                                     "robust_len": 10, "spare": 1}))
     with pytest.raises(ValueError, match="robust_len"):
-        resolve_graph(small_cfg(map_source={"kind": "two-route", "noisy_len": 8}))
+        resolve_graph(small_cfg(map={"kind": "two-route", "noisy_len": 8}))
+
+
+# the JSON types each config field takes; any other one is rejected
+INT, NUMBER, TEXT, LIST, OBJECT = ({"int"}, {"int", "float"}, {"string"},
+                                   {"list"}, {"object"})
+FIELD_TYPES = {
+    EnvConfig: dict(r_base=NUMBER, r_loopback=NUMBER, crosswalk_std=NUMBER,
+                    episode_cap=INT, obs_encoding=TEXT),
+    AgentConfig: dict(n_quantiles=INT, gamma=NUMBER, lr=NUMBER,
+                      buffer_size=INT, batch_size=INT, gradient_steps=INT,
+                      exploration_fraction=NUMBER,
+                      exploration_final_eps=NUMBER,
+                      target_sync_interval=INT | {"null"}, backend=TEXT,
+                      kappa=NUMBER, hidden=LIST, optimizer=TEXT),
+    RunConfig: dict(map=OBJECT | TEXT, env=OBJECT, agent=OBJECT,
+                    total_steps=INT, eval_interval=INT, eval_episode_cap=INT,
+                    exec_policies=LIST, seeds=LIST, out_dir=TEXT),
+    ScenarioParams: dict(noisy_len=INT, robust_len=INT,
+                         robust2_len=INT | {"null"}),
+}
+JSON_VALUES = {"string": "7", "bool": True, "int": 7, "float": 7.5,
+               "object": {}, "list": [7], "null": None}
+
+sizes = st.integers(1, 10**6)
+numbers = st.one_of(st.integers(1, 10**6),
+                    st.floats(1e-6, 1e6, allow_infinity=False))
+fractions = st.floats(0.0, 1.0)
+names = st.text(max_size=8)
+env_configs = st.builds(EnvConfig, r_base=numbers, r_loopback=numbers,
+                        crosswalk_std=numbers, episode_cap=sizes,
+                        obs_encoding=st.sampled_from(["one-hot", "index"]))
+agent_configs = st.builds(
+    AgentConfig, n_quantiles=sizes, gamma=st.floats(0.0, 0.999), lr=numbers,
+    buffer_size=sizes, batch_size=sizes, gradient_steps=sizes,
+    exploration_fraction=st.floats(1e-6, 1.0), exploration_final_eps=fractions,
+    target_sync_interval=st.none() | sizes,
+    backend=st.sampled_from(["tabular", "network"]), kappa=numbers,
+    hidden=st.lists(sizes, max_size=3).map(tuple),
+    optimizer=st.sampled_from(["adam", "sgd"]))
+scenario_params = st.builds(ScenarioParams, noisy_len=st.integers(),
+                            robust_len=st.integers(),
+                            robust2_len=st.none() | st.integers())
+run_configs = st.builds(
+    RunConfig, map=names | st.dictionaries(names, st.integers(), max_size=3),
+    env=env_configs, agent=agent_configs, total_steps=st.just(10**6),
+    eval_interval=sizes, eval_episode_cap=sizes,
+    exec_policies=st.lists(st.sampled_from(POLS), min_size=1, max_size=3,
+                           unique=True),
+    seeds=st.lists(st.integers(0, 10**9), min_size=1, max_size=4),
+    out_dir=names)
+configs = st.one_of(env_configs, agent_configs, scenario_params, run_configs)
+
+
+@given(configs)
+def test_config_round_trips_through_json(config):
+    text = json.dumps(config.to_dict())
+    back = type(config).from_dict(json.loads(text))
+    assert back == config
+    assert json.dumps(back.to_dict()) == text
+
+
+@given(configs, st.data())
+def test_config_field_of_another_json_type_is_rejected(config, data):
+    doc = json.loads(json.dumps(config.to_dict()))
+    key = data.draw(st.sampled_from(sorted(doc)))
+    other = data.draw(st.sampled_from(
+        sorted(JSON_VALUES.keys() - FIELD_TYPES[type(config)][key])))
+    doc[key] = JSON_VALUES[other]
+    with pytest.raises(ValueError, match=key):
+        type(config).from_dict(doc)
+
+
+def test_fixture_config_reserialises_to_the_same_bytes():
+    config = read_checkpoint(str(FIXTURE)).header["config"]
+    for cls, key in ((RunConfig, "run"), (AgentConfig, "agent")):
+        assert json.dumps(cls.from_dict(config[key]).to_dict()) \
+            == json.dumps(config[key])
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +553,10 @@ def paused(tmp_path_factory):
                  "training state", id="curve-row-short"),
     pytest.param(header_edit("rng.train", {"bit_generator": "MT19937"}),
                  "training state", id="rng-other-generator"),
+    pytest.param(header_edit("env_state.current", 99), "training state",
+                 id="env-state-off-map"),
+    pytest.param(header_edit("env_state.prev", -1), "training state",
+                 id="env-prev-off-map"),
 ])
 def test_resume_from_damaged_header_is_corrupt(paused, edit, names):
     cfg, path = paused
