@@ -273,6 +273,8 @@ def cmd_oracle(args) -> int:
 
 
 def _load_route(path: str, graph) -> Route:
+    """The route in file ``path``: from the map's start to a goal, passing
+    no other goal and no node twice, so that its action map walks it."""
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -280,6 +282,12 @@ def _load_route(path: str, graph) -> Route:
     nodes = doc.get("nodes") if isinstance(doc, dict) else doc
     if not isinstance(nodes, list) or not all(isinstance(v, int) for v in nodes):
         raise ConfigFailure(f"route file {path} must hold a list of node ids")
+    if not nodes or nodes[0] != graph.start:
+        raise ConfigFailure(f"route {path} must start at start node {graph.start}")
+    if nodes[-1] not in graph.goals or any(v in graph.goals for v in nodes[:-1]):
+        raise ConfigFailure(f"route {path} must end at its first goal")
+    if len(set(nodes)) != len(nodes):
+        raise ConfigFailure(f"route {path} repeats a node")
     return Route(nodes)
 
 

@@ -85,17 +85,27 @@ def trunc_normal(mean: float, std: float, lo: float, hi: float,
     raise InternalError(f"no acceptance in {max_tries} draws for [{lo}, {hi}]")
 
 
-def reward_sample(m: GraphMap, nxt: int, prev: int, cfg: EnvConfig,
-                  rng: np.random.Generator) -> float:
-    """Reward for arriving at ``nxt`` coming from ``prev``."""
+def fixed_reward(m: GraphMap, nxt: int, prev: int,
+                 cfg: EnvConfig) -> float | None:
+    """Reward for arriving at ``nxt`` coming from ``prev``, or None where
+    it is a crosswalk draw; the one place the precedence is decided."""
     if nxt in m.goals:
         return 0.0
     if nxt == prev:
         return -(cfg.r_base + cfg.r_loopback)
     if nxt in m.crosswalks:
+        return None
+    return -cfg.r_base
+
+
+def reward_sample(m: GraphMap, nxt: int, prev: int, cfg: EnvConfig,
+                  rng: np.random.Generator) -> float:
+    """Reward for arriving at ``nxt`` coming from ``prev``."""
+    r = fixed_reward(m, nxt, prev, cfg)
+    if r is None:
         return trunc_normal(-cfg.r_base, cfg.crosswalk_std,
                             -2.0 * cfg.r_base, 0.0, rng)
-    return -cfg.r_base
+    return r
 
 
 class RoadEnv:

@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .env import EnvConfig, reward_sample, stream_rng
+from .env import EnvConfig, fixed_reward, reward_sample, stream_rng
 from .roadnet import GraphMap, Route, transition
 
 
@@ -33,11 +33,8 @@ def expected_reward(m: GraphMap, nxt: int, prev: int, cfg: EnvConfig) -> float:
     The crosswalk draw is symmetric about -r_base, so its expectation
     equals the base reward; expected-value planning cannot see crosswalks.
     """
-    if nxt in m.goals:
-        return 0.0
-    if nxt == prev:
-        return -(cfg.r_base + cfg.r_loopback)
-    return -cfg.r_base
+    r = fixed_reward(m, nxt, prev, cfg)
+    return -cfg.r_base if r is None else r
 
 
 def value_iteration(m: GraphMap, cfg: EnvConfig, gamma: float,
@@ -98,10 +95,17 @@ def mc_returns(m: GraphMap, cfg: EnvConfig, policy, start: int, gamma: float,
                episodes: int, seed=0) -> np.ndarray:
     """Sorted discounted returns of rollouts under a fixed action map.
 
-    ``policy`` assigns one action to every state. Each episode uses its own
-    derived reward stream, ends at a goal or after ``cfg.episode_cap``
-    steps, and the whole batch is rejected (NonterminatingPolicy) when more
-    than half of the episodes hit the cap.
+    ``policy`` assigns one action to every state. Transitions are
+    deterministic, so the route is walked once, up to ``cfg.episode_cap``
+    steps, recording each step's discount and its fixed reward or a
+    crosswalk draw. A walk that reaches no goal would hit the cap in every
+    episode and raises NonterminatingPolicy. Episode ``ep`` draws its
+    crosswalk rewards in walk order from stream (seed, ep). The streams
+    are built before the walk, also on a route that never draws: a bad
+    seed fails first, as in a per-episode loop, and a batch costs about
+    the same per episode on every route. Returns are summed step by step
+    in walk order as one vector over the episodes: the same float
+    operations per episode as walking each episode on its own.
     """
     policy = np.asarray(policy, dtype=np.int64)
     if policy.shape != (m.n_states,):
@@ -109,28 +113,24 @@ def mc_returns(m: GraphMap, cfg: EnvConfig, policy, start: int, gamma: float,
                          f"{m.n_states} states")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    returns = np.empty(episodes)
-    cap_hits = 0
-    for ep in range(episodes):
-        rng = stream_rng(seed, ep)
-        cur = start
-        total = 0.0
-        disc = 1.0
-        reached = False
-        for _ in range(cfg.episode_cap):
-            nxt = transition(m, cur, int(policy[cur]))
-            total += disc * reward_sample(m, nxt, cur, cfg, rng)
-            disc *= gamma
-            cur = nxt
-            if cur in m.goals:
-                reached = True
-                break
-        if not reached:
-            cap_hits += 1
-        returns[ep] = total
-    if 2 * cap_hits > episodes:
-        raise NonterminatingPolicy(
-            f"{cap_hits}/{episodes} rollouts hit the {cfg.episode_cap}-step cap")
+    rngs = [stream_rng(seed, ep) for ep in range(episodes)]
+    steps = []                  # (discount, arrival, departure, fixed reward)
+    cur, disc = start, 1.0
+    for _ in range(cfg.episode_cap):
+        nxt = transition(m, cur, int(policy[cur]))
+        steps.append((disc, nxt, cur, fixed_reward(m, nxt, cur, cfg)))
+        disc *= gamma
+        cur = nxt
+        if cur in m.goals:
+            break
+    else:
+        raise NonterminatingPolicy(f"{episodes}/{episodes} rollouts hit the "
+                                   f"{cfg.episode_cap}-step cap")
+    returns = np.zeros(episodes)
+    for disc, nxt, prev, r in steps:
+        if r is None:           # a crosswalk: the next draw of every stream
+            r = np.array([reward_sample(m, nxt, prev, cfg, rng) for rng in rngs])
+        returns += disc * r
     return np.sort(returns)
 
 

@@ -154,7 +154,11 @@ class ExecPolicy:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecPolicy":
-        """The kind is keyed ``exec_policy``; ``ssd_thres`` may be absent."""
+        """The kind is keyed ``exec_policy``; ``ssd_thres`` may be absent,
+        and only a t-ssd entry may give it."""
         doc = read(doc, {"exec_policy": str, "ssd_thres": float},
                    {"exec_policy"}, "ExecPolicy")
-        return cls(kind=doc["exec_policy"], ssd_thres=doc.get("ssd_thres", 0.0))
+        pol = cls(kind=doc["exec_policy"], ssd_thres=doc.get("ssd_thres", 0.0))
+        if "ssd_thres" in doc and pol.kind != "t-ssd":
+            raise ValueError(f"ssd_thres applies only to t-ssd, not {pol.kind}")
+        return pol

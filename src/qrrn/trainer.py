@@ -25,7 +25,6 @@ import math
 import operator
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,6 +100,9 @@ class RunConfig(Config):
             raise ValueError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-negative")
+        if len(set(self.seeds)) != len(self.seeds):
+            # rows and checkpoints are keyed by seed
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if not self.exec_policies:
             raise ValueError("exec_policies must be non-empty")
         labels = [p.label for p in self.exec_policies]
@@ -347,6 +349,8 @@ def run_trials(cfg: RunConfig, jobs: int = 1,
                 if checkpoint_dir is not None else None)
         args.append((cfg, graph, seed, path))
     if jobs > 1 and len(args) > 1:
+        # imported here: a single-job run never starts a worker
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_trial_job, args))
     else:

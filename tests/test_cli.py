@@ -7,7 +7,8 @@ from conftest import damaged_fixture, header_edit
 
 from qrrn.cli import main
 from qrrn.learner import Agent, AgentConfig
-from qrrn.roadnet import parse_map, shortest_path
+from qrrn.roadnet import (ScenarioParams, build_map, emit_map,
+                          generate_scenario, parse_map, shortest_path)
 from qrrn.trainer import save_checkpoint
 
 
@@ -146,6 +147,17 @@ def test_trials_empty_seed_list(tmp_path, capsys):
     assert "seeds" in stderr
 
 
+def test_trials_repeated_seeds_flag(tmp_path, capsys):
+    # rows and checkpoints are keyed by seed; seed 1 once trained twice
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    code, _, stderr = run(capsys, "trials", str(cfg), "--seeds", "1,1",
+                          "--out", str(out))
+    assert code == 2
+    assert "distinct" in stderr
+    assert not out.exists()
+
+
 def test_trials_rejects_duplicate_policy_labels(tmp_path, capsys):
     # two t-ssd entries would share rows, aggregates and route_t-ssd.dot
     cfg = write_config(tmp_path / "cfg.json", exec_policies=[
@@ -221,7 +233,6 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_oracle_chain_values(tmp_path, capsys, chain2_map):
-    from qrrn.roadnet import emit_map
     path = tmp_path / "chain.json"
     path.write_text(emit_map(chain2_map))
     code, stdout, _ = run(capsys, "oracle", str(path), "--gamma", "0.99",
@@ -233,7 +244,6 @@ def test_oracle_chain_values(tmp_path, capsys, chain2_map):
 
 
 def test_oracle_mc_policy_reports_spread(tmp_path, capsys, two_route_map):
-    from qrrn.roadnet import emit_map
     mpath = tmp_path / "m.json"
     mpath.write_text(emit_map(two_route_map))
     route = shortest_path(two_route_map)
@@ -246,6 +256,53 @@ def test_oracle_mc_policy_reports_spread(tmp_path, capsys, two_route_map):
     std = float(line.split("std")[1].split()[0])
     assert std > 0.1
     assert "quantile atoms:" in stdout
+
+
+ROUTE_MAPS = {
+    "two-route": generate_scenario("two-route", ScenarioParams(8, 10)),
+    # 0 -> 1 -> 2 -> 3(goal), a back edge 1 -> 0 and a shortcut 0 -> 3
+    "loop": build_map("loop", 4, [(0, 1, 0), (0, 3, 1), (1, 2, 0), (1, 0, 1),
+                                  (2, 3, 0)], start=0, goals={3}),
+    "two-goals": build_map("two-goals", 3, [(0, 1, 0), (1, 2, 0)], start=0,
+                           goals={1, 2}),
+}
+# route files whose action map walks another route; each once reported
+# that route's Monte-Carlo statistics with exit 0
+BAD_ROUTES = {
+    "robust-minus-start": ("two-route", list(range(8, 18))),
+    "fork-only": ("two-route", [0, 8, 9]),
+    "noisy-minus-goal": ("two-route", list(range(8))),
+    "empty": ("two-route", []),
+    "repeated-node": ("loop", [0, 1, 0, 3]),
+    "past-a-goal": ("two-goals", [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("map_name, nodes", BAD_ROUTES.values(),
+                         ids=BAD_ROUTES.keys())
+def test_oracle_rejects_route_that_is_not_a_simple_walk(tmp_path, capsys,
+                                                        map_name, nodes):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(emit_map(ROUTE_MAPS[map_name]))
+    rpath = tmp_path / "route.json"
+    rpath.write_text(json.dumps({"nodes": nodes}))
+    code, stdout, stderr = run(capsys, "oracle", str(mpath), "--mc-policy",
+                               str(rpath), "--episodes", "20")
+    assert code == 2
+    assert "monte-carlo" not in stdout
+    assert "route" in stderr and "Traceback" not in stderr
+
+
+def test_oracle_negative_seed_on_a_route_without_draws(tmp_path, capsys,
+                                                       two_route_map):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(emit_map(two_route_map))
+    rpath = tmp_path / "route.json"
+    rpath.write_text(json.dumps([0] + list(range(8, 18))))
+    code, _, stderr = run(capsys, "oracle", str(mpath), "--mc-policy",
+                          str(rpath), "--seed", "-1")
+    assert code == 2
+    assert "stream keys must be non-negative, got [-1, 0]" in stderr
 
 
 def test_oracle_missing_map(tmp_path, capsys):
@@ -379,6 +436,13 @@ ILL_TYPED_CONFIGS = {
                                  "robust_len": "10"}},
     "ssd_thres-bool": {"exec_policies": [{"exec_policy": "t-ssd",
                                           "ssd_thres": True}]},
+    # well-typed values that are still refused: seed 1 once trained twice,
+    # and greedy or ssd ran with the threshold dropped
+    "seeds-repeated": {"seeds": [1, 1]},
+    "ssd_thres-on-greedy": {"exec_policies": [{"exec_policy": "greedy",
+                                               "ssd_thres": 15.0}]},
+    "ssd_thres-on-ssd": {"exec_policies": [{"exec_policy": "ssd",
+                                            "ssd_thres": 15.0}]},
 }
 
 

@@ -5,22 +5,32 @@ sha256 of ``curves.csv``, ``aggregate.csv`` and of every seed's checkpoint
 arrays (names, shapes and float64 bytes, as ``read_checkpoint`` returns
 them). Seed 1's checkpoint is also pinned as a whole file, header and
 arrays in their written order, which the sorted array digest cannot see.
+It also pins the Monte-Carlo oracle: the sorted ``mc_returns`` samples
+of every route of the two bundled configs, and the stdout of
+``qrrn oracle --mc-policy`` on town-a's crosswalk route.
 A change that moves any output byte fails here, even if reruns
 still agree with each other. A PR that changes numbers on purpose
 regenerates the table with ``python tests/test_golden.py`` and says so in
 CHANGES.md.
 """
 import hashlib
+import io
+import json
 import sys
+from contextlib import redirect_stdout
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from qrrn.cli import main
 from qrrn.env import EnvConfig
 from qrrn.learner import AgentConfig
+from qrrn.oracle import mc_returns
 from qrrn.policies import ExecPolicy
+from qrrn.roadnet import emit_map, enumerate_routes
 from qrrn.trainer import (RunConfig, aggregate_csv_text, curves_csv_text,
-                          read_checkpoint, run_trials)
+                          read_checkpoint, resolve_graph, run_trials)
 
 POLS = [ExecPolicy("greedy"), ExecPolicy("ssd"), ExecPolicy("t-ssd", 15.0)]
 TWO_ROUTE = {"kind": "two-route", "noisy_len": 8, "robust_len": 10}
@@ -106,6 +116,23 @@ GOLDEN = {
 }
 
 
+# bundled config -> mc_digests, one per enumerate_routes route
+GOLDEN_MC = {
+    "mini-town-a.json": [
+        "e968a3e8aea4833b6acce325205024c50f63dea1445eceabf5788f8f5b1e3cfc",
+        "b4f1bfd736bfa7cb0afc9471637f4631f7db34f81346d0ed49ade7396a8a107a",
+    ],
+    "mini-town-b.json": [
+        "e968a3e8aea4833b6acce325205024c50f63dea1445eceabf5788f8f5b1e3cfc",
+        "b4f1bfd736bfa7cb0afc9471637f4631f7db34f81346d0ed49ade7396a8a107a",
+        "af395687a4d1dfd8fd2095092e255675d6d33ece7836edbce21e05561fb561be",
+    ],
+}
+
+GOLDEN_ORACLE_STDOUT = \
+    "9e3b830cd9987f290429e60db4c40b844e236931d16cd202bc8cc6e277924ce2"
+
+
 def arrays_digest(arrays: dict) -> str:
     h = hashlib.sha256()
     for name in sorted(arrays):
@@ -136,13 +163,72 @@ def study_digests(name: str, out_dir) -> dict:
     return out
 
 
+def bundled_config(name: str) -> RunConfig:
+    text = (resources.files("qrrn") / "configs" / name).read_text()
+    return RunConfig.from_dict(json.loads(text))
+
+
+def route_policy(graph, route) -> np.ndarray:
+    """One action per state: the route's edge out of each of its nodes."""
+    edge_action = {(e.src, e.dst): e.action for e in graph.edges}
+    policy = np.zeros(graph.n_states, dtype=np.int64)
+    for u, v in zip(route.nodes, route.nodes[1:]):
+        policy[u] = edge_action[(u, v)]
+    return policy
+
+
+def mc_digests(config: str) -> list:
+    """sha256 of the sorted ``mc_returns`` float64 bytes of each route of
+    a bundled config, 500 episodes at seed (1, 2, route index)."""
+    cfg = bundled_config(config)
+    graph = resolve_graph(cfg)
+    out = []
+    for r, route in enumerate(enumerate_routes(graph)):
+        samples = mc_returns(graph, cfg.env, route_policy(graph, route),
+                             graph.start, cfg.agent.gamma, 500, seed=(1, 2, r))
+        out.append(hashlib.sha256(
+            samples.astype("<f8").tobytes()).hexdigest())
+    return out
+
+
+def oracle_stdout_digest(tmp) -> str:
+    """sha256 of ``qrrn oracle --mc-policy`` on town-a's crosswalk route."""
+    cfg = bundled_config("mini-town-a.json")
+    graph = resolve_graph(cfg)
+    noisy = next(r for r in enumerate_routes(graph)
+                 if any(v in graph.crosswalks for v in r.nodes))
+    with open(f"{tmp}/map.json", "w", encoding="utf-8") as fh:
+        fh.write(emit_map(graph))
+    with open(f"{tmp}/route.json", "w", encoding="utf-8") as fh:
+        json.dump({"nodes": noisy.nodes}, fh)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["oracle", f"{tmp}/map.json", "--r-base", "3.0",
+                     "--r-loopback", "18.0", "--mc-policy", f"{tmp}/route.json"])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+VERSIONS = (f"python {sys.version.split()[0]}, numpy {np.__version__}; "
+            f"digests were recorded with python 3.11.7, numpy 2.4.6")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
     got = study_digests(name, tmp_path)
-    versions = (f"python {sys.version.split()[0]}, numpy {np.__version__}; "
-                f"digests were recorded with python 3.11.7, numpy 2.4.6")
     for key, want in GOLDEN[name].items():
-        assert got[key] == want, f"{name} {key} changed ({versions})"
+        assert got[key] == want, f"{name} {key} changed ({VERSIONS})"
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_MC))
+def test_golden_mc_digests(config):
+    assert mc_digests(config) == GOLDEN_MC[config], \
+        f"{config} Monte-Carlo samples changed ({VERSIONS})"
+
+
+def test_golden_oracle_stdout(tmp_path):
+    assert oracle_stdout_digest(tmp_path) == GOLDEN_ORACLE_STDOUT, \
+        f"qrrn oracle --mc-policy output changed ({VERSIONS})"
 
 
 if __name__ == "__main__":
@@ -151,3 +237,7 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {case!r}: {study_digests(case, tmp)!r},")
+    for config in ("mini-town-a.json", "mini-town-b.json"):
+        print(f"    {config!r}: {mc_digests(config)!r},")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"GOLDEN_ORACLE_STDOUT = {oracle_stdout_digest(tmp)!r}")

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qrrn.env import EnvConfig, stream_rng
+from qrrn.env import EnvConfig, reward_sample, stream_rng
 from qrrn.oracle import (NonterminatingPolicy, TooFewSamples,
                          empirical_quantiles, greedy_rollout, mc_returns,
                          ssd_grid_check, truncated_normal_moments,
                          truncated_normal_quantile, truncated_normal_samples,
                          value_iteration)
 from qrrn.quantdist import ssd_dominates
-from qrrn.roadnet import build_map, shortest_path
+from qrrn.roadnet import build_map, shortest_path, transition
 
 
 def test_value_iteration_chain_hand_values(chain2_map):
@@ -104,6 +105,88 @@ def test_mc_returns_validation(chain2_map):
     with pytest.raises(ValueError):
         mc_returns(chain2_map, EnvConfig(), [0], start=0, gamma=0.99,
                    episodes=4, seed=0)
+
+
+def per_episode_returns(m, cfg, policy, start, gamma, episodes, seed=0):
+    """The oracle's former loop: each episode walks the route again with
+    its own reward stream."""
+    policy = np.asarray(policy, dtype=np.int64)
+    if policy.shape != (m.n_states,):
+        raise ValueError(f"policy must assign an action to each of "
+                         f"{m.n_states} states")
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    returns = np.empty(episodes)
+    cap_hits = 0
+    for ep in range(episodes):
+        rng = stream_rng(seed, ep)
+        cur = start
+        total = 0.0
+        disc = 1.0
+        reached = False
+        for _ in range(cfg.episode_cap):
+            nxt = transition(m, cur, int(policy[cur]))
+            total += disc * reward_sample(m, nxt, cur, cfg, rng)
+            disc *= gamma
+            cur = nxt
+            if cur in m.goals:
+                reached = True
+                break
+        if not reached:
+            cap_hits += 1
+        returns[ep] = total
+    if 2 * cap_hits > episodes:
+        raise NonterminatingPolicy(
+            f"{cap_hits}/{episodes} rollouts hit the {cfg.episode_cap}-step cap")
+    return np.sort(returns)
+
+
+@st.composite
+def walks(draw):
+    """A random map with a full action table and a random action map on it.
+
+    Each node has an edge to its successor under one action, so every goal
+    is reachable; all other slots point anywhere, the node itself included.
+    Goals, crosswalks and the walk's start may overlap, so loopbacks,
+    revisited crosswalks, goal starts and cap hits all occur.
+    """
+    n = draw(st.integers(2, 8))
+    a_dim = draw(st.integers(1, 3))
+    edges = []
+    for s in range(n):
+        chain = draw(st.integers(0, a_dim - 1))
+        for a in range(a_dim):
+            dst = (s + 1) % n if a == chain else draw(st.integers(0, n - 1))
+            edges.append((s, dst, a))
+    goals = {n - 1} | draw(st.sets(st.integers(1, n - 1), max_size=1))
+    marks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    crosswalks = [v for v in range(n) if marks[v]]
+    m = build_map("walk", n, edges, start=0, goals=goals,
+                  crosswalks=crosswalks)
+    policy = draw(st.lists(st.integers(0, a_dim - 1), min_size=n, max_size=n))
+    return m, policy, draw(st.integers(0, n - 1))
+
+
+@given(walks(),
+       st.builds(EnvConfig, r_base=st.floats(0.5, 5.0),
+                 r_loopback=st.floats(0.0, 20.0),
+                 crosswalk_std=st.floats(0.1, 5.0),
+                 episode_cap=st.integers(1, 12)),
+       st.floats(0.0, 0.999), st.integers(1, 50),
+       st.one_of(st.integers(0, 1000), st.integers(-3, -1),
+                 st.tuples(st.integers(-3, 99), st.integers(0, 99)),
+                 st.tuples(st.integers(-3, -1), st.integers(0, 99))))
+@settings(max_examples=300)
+def test_mc_returns_matches_per_episode_loop(walk, cfg, gamma, episodes, seed):
+    m, policy, start = walk
+
+    def outcome(fn):
+        try:
+            return fn(m, cfg, policy, start, gamma, episodes, seed).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(mc_returns) == outcome(per_episode_returns)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,9 @@ def test_exec_policy_serialization():
         ExecPolicy.from_dict({"exec_policy": "cvar"})
     with pytest.raises(ValueError):
         ExecPolicy.from_dict({"policy": "greedy"})
+    for kind in ("greedy", "ssd"):      # a threshold that would be dropped
+        with pytest.raises(ValueError, match="ssd_thres"):
+            ExecPolicy.from_dict({"exec_policy": kind, "ssd_thres": 15.0})
     with pytest.raises(ValueError):
         ExecPolicy("t-ssd", ssd_thres=-2.0)
 

@@ -54,6 +54,8 @@ def test_run_config_validation():
         small_cfg(seeds=[])
     with pytest.raises(ValueError):
         small_cfg(seeds=[-3])
+    with pytest.raises(ValueError, match="distinct"):
+        small_cfg(seeds=[1, 1])
     with pytest.raises(ValueError):
         small_cfg(exec_policies=[])
     with pytest.raises(ValueError, match="unique"):
@@ -136,7 +138,8 @@ run_configs = st.builds(
     eval_interval=sizes, eval_episode_cap=sizes,
     exec_policies=st.lists(st.sampled_from(POLS), min_size=1, max_size=3,
                            unique=True),
-    seeds=st.lists(st.integers(0, 10**9), min_size=1, max_size=4),
+    seeds=st.lists(st.integers(0, 10**9), min_size=1, max_size=4,
+                   unique=True),
     out_dir=names)
 configs = st.one_of(env_configs, agent_configs, scenario_params, run_configs)
 
