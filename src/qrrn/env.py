@@ -31,13 +31,22 @@ class InternalError(RuntimeError):
     """Rejection sampling failed to accept within the retry cap."""
 
 
-def stream_rng(*keys) -> np.random.Generator:
-    """Deterministic PCG64 generator for a hierarchical stream key.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash (pool size 4) and PCG64's seeding multiplier
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Keys are non-negative integers (tuples are flattened), hashed through
-    numpy's SeedSequence so distinct keys give independent streams. Used to
-    derive per-episode, per-trial and per-evaluation streams that never
-    collide across parallel runs.
+
+def _key_words(keys) -> np.ndarray:
+    """A stream key as the uint32 words SeedSequence hashes.
+
+    Tuples are flattened, and each integer is split into 32-bit words, low
+    word first, as numpy splits one; 0 is one word.
     """
     flat: list[int] = []
     for k in keys:
@@ -47,7 +56,95 @@ def stream_rng(*keys) -> np.random.Generator:
             flat.append(int(k))
     if any(x < 0 for x in flat):
         raise ValueError(f"stream keys must be non-negative, got {flat}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(flat)))
+    words = []
+    for x in flat:
+        words.append(x & _MASK32)
+        while x > _MASK32:
+            x >>= 32
+            words.append(x & _MASK32)
+    return np.array(words, dtype=np.uint32)
+
+
+def stream_rng(*keys) -> np.random.Generator:
+    """Deterministic PCG64 generator for a hierarchical stream key.
+
+    Keys are non-negative integers (tuples are flattened), hashed through
+    numpy's SeedSequence so distinct keys give independent streams. Used to
+    derive per-episode, per-trial and per-evaluation streams that never
+    collide across parallel runs.
+    """
+    seq = np.random.SeedSequence(_key_words(keys))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+# The hash below runs on Python ints and uint32 columns alike. Every Python
+# int that meets a column lies in [0, 2**32), so the column stays uint32
+# under legacy and NEP 50 promotion both, and wraps as numpy's C code does.
+
+def _mul32(x, c: int):
+    """x * c mod 2**32 for a Python int or a uint32 column x."""
+    if isinstance(x, np.ndarray):
+        return x * np.uint32(c)
+    return (x * c) & _MASK32
+
+
+def _hashes(init: int, mult: int):
+    """SeedSequence's running hash: each call xors in the constant, steps
+    it and multiplies by the new one. Returns the hash function."""
+    const = init
+
+    def hashmix(x):
+        nonlocal const
+        x = x ^ const
+        const = (const * mult) & _MASK32
+        x = _mul32(x, const)
+        return x ^ (x >> _XSHIFT)
+    return hashmix
+
+
+def _mix(x, y):
+    r = (_mul32(x, _MIX_MULT_L) - _mul32(y, _MIX_MULT_R)) & _MASK32
+    return r ^ (r >> _XSHIFT)
+
+
+def stream_states(prefix, n: int) -> list[dict]:
+    """``stream_rng(*prefix, ep).bit_generator.state`` for ep in range(n).
+
+    SeedSequence is re-implemented over the episode column: the prefix
+    words are the same in every key and are hashed once as Python ints,
+    the episode word is one uint32 column. Then ``generate_state(4,
+    uint64)`` and PCG64's seeding step, which runs on Python ints. The
+    states match ``stream_rng`` bit for bit; a bad prefix fails with the
+    message of ``stream_rng(*prefix, 0)``.
+    """
+    prefix_words = _key_words((*prefix, 0)).tolist()[:-1]
+    words = [*prefix_words, np.arange(n, dtype=np.uint32)]  # episode column
+    # SeedSequence.mix_entropy: hash the first words into the pool (zeros
+    # past the key's end), mix every pool word into every other, then mix
+    # each remaining word into the whole pool
+    hashmix = _hashes(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): every pool word has met the column by now,
+    # so all eight output words are columns, paired little-endian
+    hashmix = _hashes(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % _POOL]) for i in range(2 * _POOL)], axis=1)
+    # PCG64's seeding from words (seed hi, seed lo, inc hi, inc lo): state 0,
+    # one step, add the seed, one step
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        s = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": s, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 @dataclass

@@ -15,7 +15,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .env import EnvConfig, fixed_reward, reward_sample, stream_rng
+from .env import (EnvConfig, fixed_reward, reward_sample, stream_rng,
+                  stream_states)
 from .roadnet import GraphMap, Route, transition
 
 
@@ -100,12 +101,14 @@ def mc_returns(m: GraphMap, cfg: EnvConfig, policy, start: int, gamma: float,
     steps, recording each step's discount and its fixed reward or a
     crosswalk draw. A walk that reaches no goal would hit the cap in every
     episode and raises NonterminatingPolicy. Episode ``ep`` draws its
-    crosswalk rewards in walk order from stream (seed, ep). The streams
-    are built before the walk, also on a route that never draws: a bad
-    seed fails first, as in a per-episode loop, and a batch costs about
-    the same per episode on every route. Returns are summed step by step
-    in walk order as one vector over the episodes: the same float
-    operations per episode as walking each episode on its own.
+    crosswalk rewards in walk order from stream (seed, ep). The states of
+    all streams are derived in one batch before the walk, also on a route
+    that never draws, so a bad seed fails first, as in a per-episode loop.
+    Only a walk with a crosswalk loads them, one episode at a time, into
+    one generator; a route without one costs the derivation alone. Returns
+    are summed step by step in walk order as one vector over the episodes:
+    the same float operations per episode as walking each episode on its
+    own.
     """
     policy = np.asarray(policy, dtype=np.int64)
     if policy.shape != (m.n_states,):
@@ -113,7 +116,7 @@ def mc_returns(m: GraphMap, cfg: EnvConfig, policy, start: int, gamma: float,
                          f"{m.n_states} states")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    rngs = [stream_rng(seed, ep) for ep in range(episodes)]
+    states = stream_states((seed,), episodes)
     steps = []                  # (discount, arrival, departure, fixed reward)
     cur, disc = start, 1.0
     for _ in range(cfg.episode_cap):
@@ -126,11 +129,18 @@ def mc_returns(m: GraphMap, cfg: EnvConfig, policy, start: int, gamma: float,
     else:
         raise NonterminatingPolicy(f"{episodes}/{episodes} rollouts hit the "
                                    f"{cfg.episode_cap}-step cap")
+    crossings = [(nxt, prev) for _, nxt, prev, r in steps if r is None]
+    draws = []                  # episode-major, each episode in walk order
+    if crossings:
+        rng = stream_rng(0)     # a vessel: each episode loads its own state
+        for state in states:
+            rng.bit_generator.state = state
+            draws.extend([reward_sample(m, nxt, prev, cfg, rng)
+                          for nxt, prev in crossings])
+    columns = iter(np.reshape(draws, (episodes, len(crossings))).T)
     returns = np.zeros(episodes)
     for disc, nxt, prev, r in steps:
-        if r is None:           # a crosswalk: the next draw of every stream
-            r = np.array([reward_sample(m, nxt, prev, cfg, rng) for rng in rngs])
-        returns += disc * r
+        returns += disc * (next(columns) if r is None else r)
     return np.sort(returns)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrrn.env import (EnvConfig, EpisodeFinished, RoadEnv, reward_sample,
-                      stream_rng, trunc_normal)
+                      stream_rng, stream_states, trunc_normal)
 from qrrn.oracle import truncated_normal_moments
 from qrrn.roadnet import InvalidAction, build_map
 
@@ -201,5 +202,35 @@ def test_env_state_snapshot_roundtrip(two_route_map):
 
 
 def test_stream_rng_rejects_negative():
-    with pytest.raises(ValueError):
-        stream_rng(-1)
+    for keys, flat in (((-1,), "[-1]"), ((-1, 0), "[-1, 0]"),
+                       (((3, -2), 7), "[3, -2, 7]")):
+        with pytest.raises(ValueError) as err:
+            stream_rng(*keys)
+        assert str(err.value) == f"stream keys must be non-negative, got {flat}"
+    # the batch names the key of its first episode, as stream_rng would
+    for prefix, flat in (((-1,), "[-1, 0]"), (((3, -2),), "[3, -2, 0]")):
+        with pytest.raises(ValueError) as err:
+            stream_states(prefix, 5)
+        assert str(err.value) == f"stream keys must be non-negative, got {flat}"
+
+
+# stream key words: numpy hashes one of 2**32 or more as several 32-bit words
+WORDS = st.one_of(st.integers(0, 2**32 - 1),
+                  st.sampled_from([0, 2**32, 2**64 + 5]),
+                  st.integers(2**32, 2**73))
+
+
+@given(st.lists(st.one_of(WORDS, st.tuples(WORDS, WORDS)), max_size=7),
+       st.sampled_from([0, 1, 2, 100]))
+@settings(max_examples=150)
+def test_stream_states_match_stream_rng(prefix, n):
+    # pins the re-implemented hash, and the word split both share, to
+    # numpy's own SeedSequence on a list of Python ints
+    prefix = tuple(prefix)
+    flat = [w for k in prefix for w in (k if isinstance(k, tuple) else (k,))]
+    want = [np.random.PCG64(np.random.SeedSequence([*flat, ep])).state
+            for ep in range(n)]
+    assert [stream_rng(*prefix, ep).bit_generator.state
+            for ep in range(n)] == want
+    assert stream_states(prefix, n) == want
+

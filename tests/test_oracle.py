@@ -174,8 +174,10 @@ def walks(draw):
                  episode_cap=st.integers(1, 12)),
        st.floats(0.0, 0.999), st.integers(1, 50),
        st.one_of(st.integers(0, 1000), st.integers(-3, -1),
+                 st.integers(2**32 - 1, 2**73),
                  st.tuples(st.integers(-3, 99), st.integers(0, 99)),
-                 st.tuples(st.integers(-3, -1), st.integers(0, 99))))
+                 st.tuples(st.integers(-3, -1), st.integers(0, 99)),
+                 st.tuples(st.integers(0, 2**64 + 5), st.integers(2**32, 2**40))))
 @settings(max_examples=300)
 def test_mc_returns_matches_per_episode_loop(walk, cfg, gamma, episodes, seed):
     m, policy, start = walk
