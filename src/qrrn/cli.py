@@ -28,6 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import oracle as oracle_mod
+from .config import read
 from .env import EnvConfig
 from .policies import ExecPolicy
 from .quantdist import cvar, mean as dist_mean, variance as dist_variance
@@ -279,9 +280,9 @@ def _load_route(path: str, graph) -> Route:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigFailure(f"route file {path} is not valid JSON: {exc}") from exc
-    nodes = doc.get("nodes") if isinstance(doc, dict) else doc
-    if not isinstance(nodes, list) or not all(isinstance(v, int) for v in nodes):
-        raise ConfigFailure(f"route file {path} must hold a list of node ids")
+    if not isinstance(doc, dict):                  # a bare list of node ids
+        doc = {"nodes": doc}
+    nodes = read(doc, {"nodes": list[int]}, {"nodes"}, "route")["nodes"]
     if not nodes or nodes[0] != graph.start:
         raise ConfigFailure(f"route {path} must start at start node {graph.start}")
     if nodes[-1] not in graph.goals or any(v in graph.goals for v in nodes[:-1]):

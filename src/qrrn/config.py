@@ -1,9 +1,9 @@
 """One typed reader and writer for the JSON documents of config dataclasses.
 
 A value must have its field's declared type: a JSON int is also a float, a
-bool is neither, a list or tuple field takes a list checked element by
-element, and a type with a ``from_dict`` reads its own. Rejections raise
-``ValueError``."""
+bool is neither, a list, tuple or frozenset field takes a list checked
+element by element, and a type with a ``from_dict`` reads its own.
+Rejections raise ``ValueError``."""
 from __future__ import annotations
 
 import dataclasses
@@ -17,7 +17,7 @@ def _plan(tp) -> tuple:
     if hasattr(tp, "from_dict"):
         return tp.from_dict, None, (dict,)
     origin = typing.get_origin(tp)
-    if origin in (list, tuple):
+    if origin in (list, tuple, frozenset):
         return origin, typing.get_args(tp)[0], (list,)
     arms = typing.get_args(tp) if origin else (tp,)      # X | Y
     return None, None, tuple(c for a in arms            # an int is a float
@@ -25,7 +25,7 @@ def _plan(tp) -> tuple:
 
 
 def _check(value, tp, key: str):
-    """``value`` as a ``tp`` (a tuple field's list becomes a tuple)."""
+    """``value`` as a ``tp`` (a tuple or frozenset field's list becomes one)."""
     reader, elem, accepts = _plan(tp)
     if not isinstance(value, accepts) or (isinstance(value, bool)
                                           and bool not in accepts):

@@ -45,12 +45,6 @@ def variance(d) -> float:
     return float(((a - a.mean()) ** 2).mean())
 
 
-def second_moment(d) -> float:
-    """Raw second moment (1/N) sum theta_i^2."""
-    a = _atoms(d)
-    return float((a * a).mean())
-
-
 def _check_tau_kappa(tau, kappa):
     t = np.asarray(tau, dtype=float)
     if not np.all((t > 0.0) & (t < 1.0)):

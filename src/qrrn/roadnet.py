@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config
+from .config import Config, read
 
 ALLOWED_TAGS = ("start", "goal", "crosswalk")
 
@@ -67,11 +67,16 @@ class InvalidAction(ValueError):
 
 
 @dataclass(frozen=True)
-class Node:
+class Node(Config):
     id: int
     x: float = 0.0
     y: float = 0.0
-    tags: frozenset = frozenset()
+    tags: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        # a JSON int coordinate is a float, so the document writes 1.0
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,12 @@ class Edge:
     src: int
     dst: int
     action: int
+
+    @classmethod
+    def from_dict(cls, doc):
+        """An edge document; its keys ``from``/``to`` name no field."""
+        d = read(doc, _EDGE_TYPES, _EDGE_TYPES.keys(), "edge")
+        return cls(d["from"], d["to"], d["action"])
 
 
 @dataclass
@@ -244,7 +255,7 @@ def build_map(name, n_nodes, edges, start, goals, crosswalks=(), coords=None,
         if i in crosswalks:
             tags.add("crosswalk")
         x, y = (coords or {}).get(i, (float(i), 0.0))
-        nodes.append(Node(id=i, x=float(x), y=float(y), tags=frozenset(tags)))
+        nodes.append(Node(id=i, x=x, y=y, tags=frozenset(tags)))
     edge_objs = [Edge(int(s), int(d), int(a)) for s, d, a in edges]
     return GraphMap(name=name, nodes=nodes, edges=edge_objs, start=int(start),
                     goals=goals, crosswalks=crosswalks, action_dim=action_dim)
@@ -253,90 +264,20 @@ def build_map(name, n_nodes, edges, start, goals, crosswalks=(), coords=None,
 # ---------------------------------------------------------------------------
 # document format
 
-_TOP_KEYS = {"name", "action_dim", "nodes", "edges", "start", "goals", "crosswalks"}
-_NODE_KEYS = {"id", "x", "y", "tags"}
-_EDGE_KEYS = {"from", "to", "action"}
-
-
-def _require_int(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _require_float(value, what):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what} must be a number, got {value!r}")
-    return float(value)
+_EDGE_TYPES = {"from": int, "to": int, "action": int}
+_MAP_TYPES = {"name": str, "action_dim": int | None, "nodes": list[Node],
+              "edges": list[Edge], "start": int, "goals": list[int],
+              "crosswalks": list[int]}
 
 
 def map_from_dict(doc: dict) -> GraphMap:
     """Validate a parsed map document and build the GraphMap."""
-    if not isinstance(doc, dict):
-        raise SchemaError("map document must be a JSON object")
-    extra = set(doc) - _TOP_KEYS
-    if extra:
-        raise SchemaError(f"unknown map keys {sorted(extra)}")
-    for key in ("nodes", "edges", "start", "goals", "crosswalks"):
-        if key not in doc:
-            raise SchemaError(f"map document missing required key {key!r}")
-
-    name = doc.get("name", "map")
-    if not isinstance(name, str):
-        raise SchemaError("name must be a string")
-    action_dim = doc.get("action_dim")
-    if action_dim is not None:
-        action_dim = _require_int(action_dim, "action_dim")
-
-    if not isinstance(doc["nodes"], list):
-        raise SchemaError("nodes must be a list")
-    nodes = []
-    for item in doc["nodes"]:
-        if not isinstance(item, dict):
-            raise SchemaError("each node must be an object")
-        unknown = set(item) - _NODE_KEYS
-        if unknown:
-            raise SchemaError(f"unknown node keys {sorted(unknown)}")
-        if "id" not in item:
-            raise SchemaError("node missing id")
-        tags = item.get("tags", [])
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise SchemaError("node tags must be a list of strings")
-        nodes.append(Node(
-            id=_require_int(item["id"], "node id"),
-            x=_require_float(item.get("x", 0.0), "node x"),
-            y=_require_float(item.get("y", 0.0), "node y"),
-            tags=frozenset(tags),
-        ))
-
-    if not isinstance(doc["edges"], list):
-        raise SchemaError("edges must be a list")
-    edges = []
-    for item in doc["edges"]:
-        if not isinstance(item, dict):
-            raise SchemaError("each edge must be an object")
-        unknown = set(item) - _EDGE_KEYS
-        if unknown:
-            raise SchemaError(f"unknown edge keys {sorted(unknown)}")
-        missing = _EDGE_KEYS - set(item)
-        if missing:
-            raise SchemaError(f"edge missing keys {sorted(missing)}")
-        edges.append(Edge(
-            src=_require_int(item["from"], "edge from"),
-            dst=_require_int(item["to"], "edge to"),
-            action=_require_int(item["action"], "edge action"),
-        ))
-
-    start = _require_int(doc["start"], "start")
-    if not isinstance(doc["goals"], list):
-        raise SchemaError("goals must be a list")
-    goals = frozenset(_require_int(g, "goal id") for g in doc["goals"])
-    if not isinstance(doc["crosswalks"], list):
-        raise SchemaError("crosswalks must be a list")
-    crosswalks = frozenset(_require_int(c, "crosswalk id") for c in doc["crosswalks"])
-
-    return GraphMap(name=name, nodes=nodes, edges=edges, start=start,
-                    goals=goals, crosswalks=crosswalks, action_dim=action_dim)
+    try:
+        d = read(doc, _MAP_TYPES, _MAP_TYPES.keys() - {"name", "action_dim"},
+                 "map")
+    except (ValueError, OverflowError) as exc:     # an int x beyond float range
+        raise SchemaError(str(exc)) from exc
+    return GraphMap(**{"name": "map", **d})
 
 
 def parse_map(text: str) -> GraphMap:

@@ -308,7 +308,7 @@ class TrialReport:
         return hist
 
 
-def aggregate_rows(rows, policies, seeds) -> list:
+def aggregate_rows(rows, policies) -> list:
     out = []
     by_key: dict = {}
     for row in rows:
@@ -366,7 +366,7 @@ def run_trials(cfg: RunConfig, jobs: int = 1,
                 final_routes[(seed, row.exec_policy)] = row.route_class
         for label, visited in traces.items():
             final_traces[(seed, label)] = visited
-    agg = aggregate_rows(rows, cfg.exec_policies, cfg.seeds)
+    agg = aggregate_rows(rows, cfg.exec_policies)
     return TrialReport(rows=rows, aggregate=agg, final_routes=final_routes,
                        final_traces=final_traces, n_seeds=len(cfg.seeds))
 

@@ -181,6 +181,18 @@ def test_trials_map_spec_missing_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_trials_inline_map_with_bool_node_id(tmp_path, capsys,
+                                             two_route_map):
+    doc = json.loads(emit_map(two_route_map))
+    doc["nodes"][0]["id"] = False
+    cfg = write_config(tmp_path / "cfg.json", map=doc)
+    out = tmp_path / "o"
+    code, _, stderr = run(capsys, "trials", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "id" in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
 def test_trials_missing_config(tmp_path, capsys):
     code, _, stderr = run(capsys, "trials", str(tmp_path / "none.json"))
     assert code == 2
@@ -266,26 +278,31 @@ ROUTE_MAPS = {
     "two-goals": build_map("two-goals", 3, [(0, 1, 0), (1, 2, 0)], start=0,
                            goals={1, 2}),
 }
-# route files whose action map walks another route; each once reported
-# that route's Monte-Carlo statistics with exit 0
+# route files that are not a simple start-to-goal walk of integer node
+# ids; each once reported Monte-Carlo statistics with exit 0
 BAD_ROUTES = {
-    "robust-minus-start": ("two-route", list(range(8, 18))),
-    "fork-only": ("two-route", [0, 8, 9]),
-    "noisy-minus-goal": ("two-route", list(range(8))),
-    "empty": ("two-route", []),
-    "repeated-node": ("loop", [0, 1, 0, 3]),
-    "past-a-goal": ("two-goals", [0, 1, 2]),
+    "robust-minus-start": ("two-route", {"nodes": list(range(8, 18))}),
+    "fork-only": ("two-route", {"nodes": [0, 8, 9]}),
+    "noisy-minus-goal": ("two-route", {"nodes": list(range(8))}),
+    "empty": ("two-route", {"nodes": []}),
+    "repeated-node": ("loop", {"nodes": [0, 1, 0, 3]}),
+    "past-a-goal": ("two-goals", {"nodes": [0, 1, 2]}),
+    # false == 0 once passed the start check and then set no action, so
+    # the noisy route's statistics were printed for the robust route
+    "bool-start": ("two-route", [False] + list(range(8, 18))),
+    "unknown-key": ("two-route", {"nodes": [0] + list(range(8, 18)),
+                                  "nodez": 1}),     # a typo was ignored
 }
 
 
-@pytest.mark.parametrize("map_name, nodes", BAD_ROUTES.values(),
+@pytest.mark.parametrize("map_name, payload", BAD_ROUTES.values(),
                          ids=BAD_ROUTES.keys())
 def test_oracle_rejects_route_that_is_not_a_simple_walk(tmp_path, capsys,
-                                                        map_name, nodes):
+                                                        map_name, payload):
     mpath = tmp_path / "m.json"
     mpath.write_text(emit_map(ROUTE_MAPS[map_name]))
     rpath = tmp_path / "route.json"
-    rpath.write_text(json.dumps({"nodes": nodes}))
+    rpath.write_text(json.dumps(payload))
     code, stdout, stderr = run(capsys, "oracle", str(mpath), "--mc-policy",
                                str(rpath), "--episodes", "20")
     assert code == 2

@@ -87,10 +87,34 @@ def test_unreachable_goal():
     {"nodes": [{"id": 0, "tags": []},
                {"id": 1, "tags": ["goal"]}]},       # tags disagree with start
     {"edges": [{"from": 0, "to": 1}]},              # missing edge key
+    {"nodes": [{"id": False, "tags": ["start"]},
+               {"id": 1, "tags": ["goal"]}]},       # bool node id
+    {"start": 0.0},                                 # float start
+    {"nodes": [0, {"id": 1, "tags": ["goal"]}]},    # node not an object
+    {"nodes": [{"id": 0, "tags": "start"},
+               {"id": 1, "tags": ["goal"]}]},       # tags as a string
+    {"nodes": [{"id": 0, "x": True, "tags": ["start"]},
+               {"id": 1, "tags": ["goal"]}]},       # bool coordinate
+    {"goals": 1},                                   # goals not a list
+    {"name": 5},                                    # non-string name
+    {"nodes": [{"id": 0, "x": 10**400, "tags": ["start"]},
+               {"id": 1, "tags": ["goal"]}]},       # int beyond float range
+    [MINIMAL],                                      # document not an object
 ])
 def test_schema_violations(mutate):
+    bad = doc(**mutate) if isinstance(mutate, dict) else mutate
     with pytest.raises(SchemaError):
-        parse_map(json.dumps(doc(**mutate)))
+        parse_map(json.dumps(bad))
+
+
+def test_integer_coordinates_emit_as_floats():
+    # checkpoint headers embed the emitted document, so "x": 1 stays 1.0
+    m = parse_map(json.dumps(doc(nodes=[
+        {"id": 0, "x": 1, "y": -2, "tags": ["start"]},
+        {"id": 1, "x": 3, "tags": ["goal"]}])))
+    text = emit_map(m)
+    assert '"x": 1.0' in text and '"y": -2.0' in text and '"x": 3.0' in text
+    assert emit_map(parse_map(text)) == text
 
 
 def test_parse_rejects_bad_json():

@@ -281,11 +281,11 @@ def test_parallel_jobs_match_serial():
 def test_aggregate_stats():
     rows = [EvalRow(1, "greedy", 10, -5.0, True, "noisy"),
             EvalRow(2, "greedy", 10, -7.0, True, "noisy")]
-    agg = aggregate_rows(rows, [ExecPolicy("greedy")], [1, 2])
+    agg = aggregate_rows(rows, [ExecPolicy("greedy")])
     assert agg == [AggRow("greedy", 10, -6.0,
                           pytest.approx(np.std([-5, -7], ddof=1) / np.sqrt(2)),
                           2)]
-    single = aggregate_rows(rows[:1], [ExecPolicy("greedy")], [1])
+    single = aggregate_rows(rows[:1], [ExecPolicy("greedy")])
     assert single[0].stderr_return == 0.0
 
 
