@@ -1,9 +1,9 @@
 """One typed reader and writer for the JSON documents of config dataclasses.
 
-A value must have its field's declared type: a JSON int is also a float, a
-bool is neither, a list, tuple or frozenset field takes a list checked
-element by element, and a type with a ``from_dict`` reads its own.
-Rejections raise ``ValueError``."""
+A value must have its field's declared type: a JSON int is also a float
+when it converts to one, a bool is neither, a list, tuple or frozenset
+field takes a list checked element by element, and a type with a
+``from_dict`` reads its own. Rejections raise ``ValueError``."""
 from __future__ import annotations
 
 import dataclasses
@@ -31,6 +31,11 @@ def _check(value, tp, key: str):
                                           and bool not in accepts):
         raise ValueError(f"{key} must be {' or '.join(c.__name__ for c in accepts)}"
                          f", got {value!r}")
+    if float in accepts and type(value) is int:
+        try:
+            float(value)            # kept as given; checked that it converts
+        except OverflowError:
+            raise ValueError(f"{key} is too large for a float") from None
     if elem is not None:
         return reader(_check(v, elem, key) for v in value)
     return value if reader is None else reader(value)

@@ -57,17 +57,6 @@ class Batch:
     def __len__(self) -> int:
         return len(self.s)
 
-    @classmethod
-    def from_transitions(cls, transitions) -> "Batch":
-        ts = list(transitions)
-        return cls(
-            s=np.array([t.s for t in ts], dtype=np.int64),
-            a=np.array([t.a for t in ts], dtype=np.int64),
-            r=np.array([t.r for t in ts], dtype=float),
-            s_next=np.array([t.s_next for t in ts], dtype=np.int64),
-            done=np.array([t.done for t in ts], dtype=bool),
-        )
-
 
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with FIFO overwrite."""
@@ -255,7 +244,8 @@ class NetHead:
 
 class Agent:
     """QR learner state: a head of online and target atoms, its optimizer
-    state and the replay buffer."""
+    state and the replay buffer. ``seed`` seeds a network's init; None
+    starts it from zeros, like a table, and draws nothing."""
 
     def __init__(self, cfg: AgentConfig, n_states: int, n_actions: int, seed=0):
         if n_states < 1 or n_actions < 1:

@@ -65,21 +65,23 @@ class DenseNet:
 
 
 def init(dims, seed=0) -> DenseNet:
-    """Glorot-uniform weights, zero biases; relu hidden, identity output."""
+    """Glorot-uniform weights, zero biases; relu hidden, identity output.
+    With ``seed=None`` the weights are zeros too and nothing is drawn."""
     dims = [int(d) for d in np.atleast_1d(np.asarray(dims)).tolist()]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise BadDims(f"need at least [in, out] with positive sizes, got {dims}")
-    if isinstance(seed, (tuple, list)):
-        entropy = [int(x) for x in seed]
-    else:
-        entropy = int(seed)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    rng = None
+    if seed is not None:
+        entropy = ([int(x) for x in seed] if isinstance(seed, (tuple, list))
+                   else int(seed))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     weights, biases, acts = [], [], []
     n_layers = len(dims) - 1
     for i in range(n_layers):
         fan_in, fan_out = dims[i], dims[i + 1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
+        weights.append(np.zeros((fan_out, fan_in)) if rng is None else
+                       rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
         acts.append("identity" if i == n_layers - 1 else "relu")
     return DenseNet(weights, biases, acts)

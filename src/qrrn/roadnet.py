@@ -275,7 +275,7 @@ def map_from_dict(doc: dict) -> GraphMap:
     try:
         d = read(doc, _MAP_TYPES, _MAP_TYPES.keys() - {"name", "action_dim"},
                  "map")
-    except (ValueError, OverflowError) as exc:     # an int x beyond float range
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     return GraphMap(**{"name": "map", **d})
 

@@ -456,22 +456,23 @@ def curves_svg_text(agg, width: int = 640, height: int = 400) -> str:
 
 @dataclass
 class Checkpoint:
-    """A checkpoint file's JSON ``header`` and float64 ``arrays``. The
-    header is outside input, read only by ``build_agent``, ``build_graph``,
-    ``run_config`` and ``resume_state``: each parses the fields it needs
-    when called, and a missing or ill-typed field is a ``CorruptCheckpoint``
-    (exit 2 in the CLI)."""
+    """A checkpoint file's JSON ``header`` and float64 ``arrays``, read-only
+    views of the file's bytes. The header is outside input, read only by
+    ``build_agent``, ``build_graph``, ``run_config`` and ``resume_state``:
+    each parses the fields it needs when called, and a missing or ill-typed
+    field is a ``CorruptCheckpoint`` (exit 2 in the CLI)."""
     header: dict
     arrays: dict
 
     def build_agent(self) -> Agent:
         """The agent the checkpoint holds; an array that is missing or
-        disagrees with the dims is corrupt too."""
+        disagrees with the dims is corrupt too. The agent starts from zeros,
+        not a drawn init, and each array is copied into it once."""
         h = self.header
         with _reading("agent"):
             cfg = AgentConfig.from_dict(_field(h, "config", "agent"))
             agent = Agent(cfg, _field(h, "dims", "n_states"),
-                          _field(h, "dims", "n_actions"))
+                          _field(h, "dims", "n_actions"), seed=None)
             for name, arr in _learner_arrays(agent):
                 np.copyto(arr, self._array(name, arr.shape))
             agent.adam.t = int(_field(h, "adam_t") or 0)
@@ -628,17 +629,21 @@ def read_checkpoint(path: str) -> Checkpoint:
         raise CorruptCheckpoint(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CorruptCheckpoint("header is not a JSON object")
-    arrays = {}
-    offset = 10 + hlen
+    # one read-only view over the payload's whole floats; arrays slice it
+    start = 10 + hlen
+    payload = np.frombuffer(blob, dtype="<f8", count=(len(blob) - start) // 8,
+                            offset=start)
+    arrays, end = {}, 0
     with _reading("array table"):
         for spec in _field(header, "arrays"):
             name, shape = _field(spec, "name"), tuple(_field(spec, "shape"))
-            nbytes = 8 * math.prod(shape)
-            if offset + nbytes > len(blob):
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise CorruptCheckpoint(f"array {name} has bad shape {list(shape)}")
+            size = math.prod(shape)
+            if end + size > len(payload):
                 raise CorruptCheckpoint(f"truncated array {name}")
-            arrays[name] = np.frombuffer(
-                blob[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
-            offset += nbytes
-    if offset != len(blob):
+            arrays[name] = payload[end:end + size].reshape(shape)
+            end += size
+    if start + 8 * end != len(blob):
         raise CorruptCheckpoint("trailing bytes after declared arrays")
     return Checkpoint(header=header, arrays=arrays)

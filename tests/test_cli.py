@@ -460,6 +460,13 @@ ILL_TYPED_CONFIGS = {
                                                "ssd_thres": 15.0}]},
     "ssd_thres-on-ssd": {"exec_policies": [{"exec_policy": "ssd",
                                             "ssd_thres": 15.0}]},
+    # an integer beyond float range once died with an OverflowError
+    # traceback; with lr, only at the first optimizer step
+    "r_base-huge-int": {"env": {"r_base": 10**400, "r_loopback": 18.0}},
+    "ssd_thres-huge-int": {"exec_policies": [
+        {"exec_policy": "greedy"}, {"exec_policy": "ssd"},
+        {"exec_policy": "t-ssd", "ssd_thres": 10**400}]},
+    "lr-huge-int": {"agent": {"lr": 10**400}},
 }
 
 

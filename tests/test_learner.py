@@ -12,8 +12,13 @@ def cfg(**kw):
     return AgentConfig(**kw)
 
 
-def batch_of(*transitions):
-    return Batch.from_transitions(transitions)
+def batch_of(*ts):
+    """The transitions as one column-wise batch."""
+    return Batch(s=np.array([t.s for t in ts], dtype=np.int64),
+                 a=np.array([t.a for t in ts], dtype=np.int64),
+                 r=np.array([t.r for t in ts], dtype=float),
+                 s_next=np.array([t.s_next for t in ts], dtype=np.int64),
+                 done=np.array([t.done for t in ts], dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FIXTURE, header_edit
+from conftest import FIXTURE, damaged_fixture, header_edit
 from hypothesis import given, settings, strategies as st
 
 from qrrn import cli, nn, trainer as trainer_mod
@@ -365,6 +365,74 @@ def test_checkpoint_corruption_cases(tmp_path):
     (tmp_path / "vers.qrrn").write_bytes(blob[:4] + b"\x63\x00" + blob[6:])
     with pytest.raises(VersionMismatch):
         read_checkpoint(str(tmp_path / "vers.qrrn"))
+
+
+def used_agent(backend: str) -> Agent:
+    """An agent whose every saved field is off its initial value: trained
+    params, target and Adam moments, a buffer that has wrapped around."""
+    agent = Agent(AgentConfig(backend=backend, hidden=(6,), buffer_size=24,
+                              batch_size=8), 5, 3, seed=7)
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        agent.buffer.push(int(rng.integers(5)), int(rng.integers(3)),
+                          float(rng.normal()), int(rng.integers(5)),
+                          bool(rng.random() < 0.2))
+    for _ in range(3):
+        agent.qr_update(agent.buffer.sample(8, rng))
+    agent.sync_target()
+    agent.qr_update(agent.buffer.sample(8, rng))
+    agent.steps_done = 123
+    return agent
+
+
+@pytest.mark.parametrize("backend", ["tabular", "network"])
+def test_load_rebuilds_every_saved_field_byte_for_byte(tmp_path, backend):
+    agent = used_agent(backend)
+    path = str(tmp_path / "c.qrrn")
+    save_checkpoint(agent, path)
+    again = read_checkpoint(path).build_agent()
+    pairs = [(agent.head.params, again.head.params),
+             (agent.head.target, again.head.target),
+             (agent.adam.m, again.adam.m), (agent.adam.v, again.adam.v)]
+    pairs += [(getattr(agent.buffer, c), getattr(again.buffer, c))
+              for c in ("s", "a", "r", "s_next", "done")]
+    for want, got in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (again.buffer.cursor, again.buffer.size) == (6, 24)
+    assert (again.adam.t, again.steps_done) == (4, 123)
+    assert_slots_are_views(again)
+
+
+def test_loaded_arrays_are_read_only_views(tmp_path):
+    path = str(tmp_path / "c.qrrn")
+    save_checkpoint(used_agent("network"), path)
+    ck = read_checkpoint(path)
+    assert all(not a.flags.writeable for a in ck.arrays.values())
+    with pytest.raises(ValueError, match="read-only"):
+        ck.arrays["w0"][0, 0] = 1.0
+
+
+def test_loading_a_network_draws_no_init(tmp_path, monkeypatch):
+    path = str(tmp_path / "c.qrrn")
+    agent = used_agent("network")
+    save_checkpoint(agent, path)
+    ck = read_checkpoint(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load drew randomness")
+    for name in ("SeedSequence", "PCG64", "Generator"):
+        monkeypatch.setattr(np.random, name, refuse)
+    again = ck.build_agent()
+    assert again.head.params.tobytes() == agent.head.params.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.0, "2"],
+                         ids=["negative", "bool", "float", "string"])
+def test_array_table_rejects_a_bad_dimension(tmp_path, bad):
+    path = damaged_fixture(tmp_path / "shape.qrrn",
+                           header_edit("arrays.0.shape.0", bad))
+    with pytest.raises(CorruptCheckpoint, match="array theta has bad shape"):
+        read_checkpoint(path)
 
 
 class _Unwritable:
