@@ -94,13 +94,6 @@ class ReplayBuffer:
         return Batch(self.s[idx], self.a[idx], self.r[idx],
                      self.s_next[idx], self.done[idx])
 
-    def contents(self):
-        """Transitions currently held, oldest first."""
-        order = (np.arange(self.size) + (self.cursor - self.size)) % self.capacity \
-            if self.size == self.capacity else np.arange(self.size)
-        return [Transition(int(self.s[i]), int(self.a[i]), float(self.r[i]),
-                           int(self.s_next[i]), bool(self.done[i])) for i in order]
-
 
 @dataclass
 class AgentConfig(Config):
@@ -164,18 +157,25 @@ def epsilon(step: int, total_steps: int, cfg: AgentConfig) -> float:
 # and ``target`` (one flat vector each, updated in place), ``shapes`` (the
 # slots the vectors are cut into, see ``nn.split``), ``names`` (checkpoint
 # names of the slots of the online, target, Adam m and Adam v vectors),
-# ``dists``, ``online`` (atoms of the taken actions and a trace for
-# ``grads``), ``bootstrap`` (target atoms of the target-greedy action) and
-# ``grads`` (a flat vector like ``params``).
+# ``layout`` (names and shapes from the sizes alone, before anything is
+# allocated), ``dists``, ``online`` (atoms of the taken actions and a trace
+# for ``grads``), ``bootstrap`` (target atoms of the target-greedy action),
+# ``grads`` (a flat vector like ``params``) and ``sync`` (target <- online).
 
 class TableHead:
-    """Atoms as a dense (state, action, atom) table and its target copy."""
+    """Atoms as a dense (state, action, atom) table and its target copy.
+    A table has no layers and no drawn init, so ``hidden`` and ``seed`` go
+    unused."""
 
     names = (["theta"], ["theta_target"], ["opt_m"], ["opt_v"])
 
-    def __init__(self, n_states: int, n_actions: int, n: int):
-        shape = (n_states, n_actions, n)
-        self.shapes = [shape]
+    @staticmethod
+    def layout(n_states: int, n_actions: int, n: int, hidden):
+        return TableHead.names, [(n_states, n_actions, n)]
+
+    def __init__(self, n_states: int, n_actions: int, n: int, hidden, seed):
+        _, self.shapes = self.layout(n_states, n_actions, n, hidden)
+        shape = self.shapes[0]
         size = math.prod(shape)
         self.params, self.target = np.zeros(size), np.zeros(size)
         self.theta = self.params.reshape(shape)
@@ -192,7 +192,8 @@ class TableHead:
         return self._rows.take(cells, axis=0), cells
 
     def bootstrap(self, next_states) -> np.ndarray:
-        # one mean over the whole target table; s' picks the rows
+        # one mean over the whole target table; s' picks the rows. The
+        # target syncs every step by default, so nothing is kept across calls
         tt = self.theta_target
         return tt[next_states, greedy(tt)[next_states]]
 
@@ -201,24 +202,48 @@ class TableHead:
         idx = trace * self.theta.shape[2] + self._atoms
         return np.bincount(idx.ravel(), g.ravel(), self.params.size)
 
+    def sync(self) -> None:
+        np.copyto(self.target, self.params)
+
 
 class NetHead:
     """Atoms as the output of a dense network over one-hot states, and a
-    target copy of the network."""
+    target copy of the network. With ``seed=None`` both nets start from
+    zeros and nothing is drawn.
+
+    Between syncs a state's bootstrap atoms cannot change, so ``bootstrap``
+    keeps them in a table per batch size b: a ``known`` mask over states
+    and each state's target-greedy atom row. A minibatch whose states are
+    all known is served from the table; one that holds a new state runs the
+    target forward over itself, as without a table, and stores every row.
+    A stored row has the bits a later minibatch's forward would give it
+    because a state's row in a b-row forward has the same bits whatever the
+    other rows hold (``tests/test_nn.py`` pins this for the linked BLAS);
+    across row counts the bits can differ. ``sync`` empties the table. The
+    table pays where states repeat within a sync window, as on small maps;
+    where they do not, an update does the forward it did without one, plus
+    the mask check and the stores. It is derived state:
+    a checkpoint does not hold it, and a loaded agent starts without it.
+    """
+
+    @staticmethod
+    def layout(n_states: int, n_actions: int, n: int, hidden):
+        shapes = nn.layer_shapes([n_states, *hidden, n_actions * n])
+        online = [f"{p}{i}" for i in range(len(shapes) // 2) for p in "wb"]
+        slots = range(len(shapes))
+        names = (online, ["t" + k for k in online], [f"am{i}" for i in slots],
+                 [f"av{i}" for i in slots])
+        return names, shapes
 
     def __init__(self, n_states: int, n_actions: int, n: int, hidden, seed):
+        self.names, self.shapes = self.layout(n_states, n_actions, n, hidden)
         self.net = nn.init([n_states, *hidden, n_actions * n], seed)
         self.net_target = nn.clone(self.net)
         self.params, self.target = self.net.flat, self.net_target.flat
-        self.shapes = [p.shape for p in nn.params(self.net)]
-        layers = range(len(self.net.weights))
-        online = [f"{p}{i}" for i in layers for p in "wb"]
-        slots = range(len(self.shapes))
-        self.names = (online, ["t" + k for k in online], [f"am{i}" for i in slots],
-                      [f"av{i}" for i in slots])
         self.shape = (n_actions, n)
         self._grad = np.empty_like(self.params)
         self._grad_slots = nn.split(self._grad, self.shapes)
+        self._boot: dict = {}       # b -> (known, atom rows)
 
     def dists(self, states, target: bool = False) -> np.ndarray:
         y = nn.forward(self.net_target if target else self.net, states,
@@ -230,8 +255,18 @@ class NetHead:
         return y.reshape(-1, *self.shape)[np.arange(len(y)), actions], trace
 
     def bootstrap(self, next_states) -> np.ndarray:
+        b = len(next_states)
+        if b not in self._boot:
+            n_states = self.net.input_dim
+            self._boot[b] = (np.zeros(n_states, dtype=bool),
+                             np.empty((n_states, self.shape[1])))
+        known, rows = self._boot[b]
+        if known[next_states].all():
+            return rows.take(next_states, axis=0)
         boot = self.dists(next_states, target=True)
-        return boot[np.arange(len(boot)), greedy(boot)]
+        out = boot[np.arange(b), greedy(boot)]
+        rows[next_states], known[next_states] = out, True
+        return out
 
     def grads(self, states, actions, g, trace) -> np.ndarray:
         b = len(states)
@@ -240,6 +275,13 @@ class NetHead:
         nn.backward(self.net, states, grad_out, onehot=True, trace=trace,
                     out=self._grad_slots)
         return self._grad
+
+    def sync(self) -> None:
+        np.copyto(self.target, self.params)
+        self._boot.clear()
+
+
+_HEADS = {"tabular": TableHead, "network": NetHead}
 
 
 class Agent:
@@ -258,11 +300,16 @@ class Agent:
         self._weights: dict = {}
         self.buffer = ReplayBuffer(cfg.buffer_size)
         self.steps_done = 0
-        if cfg.backend == "tabular":
-            self.head = TableHead(n_states, n_actions, self.n)
-        else:
-            self.head = NetHead(n_states, n_actions, self.n, cfg.hidden, seed)
+        self.head = _HEADS[cfg.backend](n_states, n_actions, self.n,
+                                        cfg.hidden, seed)
         self.adam = nn.AdamState.for_params(self.head.params)
+
+    @staticmethod
+    def layout(cfg: AgentConfig, n_states: int, n_actions: int):
+        """(names, shapes) of the head such an agent holds, as the head's
+        ``names`` and ``shapes``, found without allocating anything."""
+        return _HEADS[cfg.backend].layout(n_states, n_actions, cfg.n_quantiles,
+                                          cfg.hidden)
 
     # ----- distribution access ------------------------------------------
 
@@ -352,7 +399,7 @@ class Agent:
         return self._weights[b]
 
     def sync_target(self) -> None:
-        np.copyto(self.head.target, self.head.params)
+        self.head.sync()
 
 
 def _quantile_step(u: np.ndarray, weights, kappa: float):

@@ -38,7 +38,8 @@ def split(flat: np.ndarray, shapes) -> list:
 class DenseNet:
     """Affine layers whose parameters live in one float vector, ``flat``,
     laid out as ``params`` lists them. The arrays given are copied into a
-    new vector, and ``weights`` and ``biases`` become views into it."""
+    new vector, and ``weights`` and ``biases`` become views into it;
+    ``over`` builds a net on a vector that exists."""
 
     weights: list            # (out, in) matrices
     biases: list             # (out,) vectors
@@ -50,6 +51,16 @@ class DenseNet:
         self.flat = np.concatenate([p.ravel() for p in ps], dtype=float)
         views = split(self.flat, [p.shape for p in ps])
         self.weights, self.biases = views[0::2], views[1::2]
+
+    @classmethod
+    def over(cls, flat: np.ndarray, shapes, activations) -> "DenseNet":
+        """A net whose parameters are views of ``flat`` cut to ``shapes``
+        (see ``layer_shapes``), without a copy."""
+        net = cls.__new__(cls)
+        views = split(flat, shapes)
+        net.weights, net.biases = views[0::2], views[1::2]
+        net.activations, net.flat = list(activations), flat
+        return net
 
     @property
     def input_dim(self) -> int:
@@ -64,31 +75,38 @@ class DenseNet:
         return [self.input_dim] + [w.shape[0] for w in self.weights]
 
 
+def layer_shapes(dims) -> list:
+    """[W0.shape, b0.shape, W1.shape, ...] of a net with layer sizes
+    ``dims``, the order ``params`` lists the arrays in."""
+    return [s for n_in, n_out in zip(dims, dims[1:])
+            for s in ((n_out, n_in), (n_out,))]
+
+
 def init(dims, seed=0) -> DenseNet:
     """Glorot-uniform weights, zero biases; relu hidden, identity output.
-    With ``seed=None`` the weights are zeros too and nothing is drawn."""
+    With ``seed=None`` the weights are zeros too and nothing is drawn.
+    The layers are views of one zeroed vector, which the draws fill."""
     dims = [int(d) for d in np.atleast_1d(np.asarray(dims)).tolist()]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise BadDims(f"need at least [in, out] with positive sizes, got {dims}")
-    rng = None
+    shapes = layer_shapes(dims)
+    acts = ["relu"] * (len(dims) - 2) + ["identity"]
+    net = DenseNet.over(np.zeros(sum(math.prod(s) for s in shapes)), shapes,
+                        acts)
     if seed is not None:
         entropy = ([int(x) for x in seed] if isinstance(seed, (tuple, list))
                    else int(seed))
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    weights, biases, acts = [], [], []
-    n_layers = len(dims) - 1
-    for i in range(n_layers):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(np.zeros((fan_out, fan_in)) if rng is None else
-                       rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-        acts.append("identity" if i == n_layers - 1 else "relu")
-    return DenseNet(weights, biases, acts)
+        for w in net.weights:
+            fan_out, fan_in = w.shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return net
 
 
 def clone(net: DenseNet) -> DenseNet:
-    return DenseNet(net.weights, net.biases, list(net.activations))
+    return DenseNet.over(net.flat.copy(), [p.shape for p in params(net)],
+                         net.activations)
 
 
 def params(net: DenseNet):

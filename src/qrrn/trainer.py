@@ -466,26 +466,39 @@ class Checkpoint:
 
     def build_agent(self) -> Agent:
         """The agent the checkpoint holds; an array that is missing or
-        disagrees with the dims is corrupt too. The agent starts from zeros,
-        not a drawn init, and each array is copied into it once."""
+        disagrees with the dims is corrupt too. Every array the header
+        implies is checked against the array table, whose sizes the file's
+        length bounds, before the agent is allocated; so a header cannot
+        size the load's memory. The agent starts from zeros, not a drawn
+        init, and each array is copied into it once."""
         h = self.header
         with _reading("agent"):
             cfg = AgentConfig.from_dict(_field(h, "config", "agent"))
-            agent = Agent(cfg, _field(h, "dims", "n_states"),
-                          _field(h, "dims", "n_actions"), seed=None)
-            for name, arr in _learner_arrays(agent):
-                np.copyto(arr, self._array(name, arr.shape))
+            n_states = operator.index(_field(h, "dims", "n_states"))
+            n_actions = operator.index(_field(h, "dims", "n_actions"))
+            if _field(h, "buffer", "capacity") != cfg.buffer_size:
+                raise CorruptCheckpoint("buffer capacity mismatch")
+            names, shapes = Agent.layout(cfg, n_states, n_actions)
+            for slot_names in names:        # online, target, Adam m and v
+                for name, shape in zip(slot_names, shapes):
+                    self._array(name, shape)
+            for col in _BUFFER_COLUMNS:
+                self._array(f"buf_{col}", (cfg.buffer_size,))
+            agent = Agent(cfg, n_states, n_actions, seed=None)
+            flats = (agent.head.params, agent.head.target, agent.adam.m,
+                     agent.adam.v)
+            for flat, slot_names in zip(flats, names):
+                np.concatenate([self.arrays[k].ravel() for k in slot_names],
+                               out=flat)
             agent.adam.t = int(_field(h, "adam_t") or 0)
             buf = agent.buffer
-            if _field(h, "buffer", "capacity") != buf.capacity:
-                raise CorruptCheckpoint("buffer capacity mismatch")
             size = int(_field(h, "buffer", "size"))
             cursor = int(_field(h, "buffer", "cursor"))
             if not (0 <= size <= buf.capacity and 0 <= cursor < buf.capacity):
                 raise CorruptCheckpoint("buffer position outside its capacity")
             buf.size, buf.cursor = size, cursor
             for col in _BUFFER_COLUMNS:     # cast from float64, as astype does
-                getattr(buf, col)[:] = self._array(f"buf_{col}", (buf.capacity,))
+                getattr(buf, col)[:] = self.arrays[f"buf_{col}"]
             agent.steps_done = int(_field(h, "step"))
         return agent
 

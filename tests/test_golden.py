@@ -209,8 +209,21 @@ def oracle_stdout_digest(tmp) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-VERSIONS = (f"python {sys.version.split()[0]}, numpy {np.__version__}; "
-            f"digests were recorded with python 3.11.7, numpy 2.4.6")
+# network digests rest on the BLAS's gemm, and on its rows being computed
+# independently of each other (see test_nn.py), as well as on numpy
+def blas_version() -> str:
+    # numpy before 1.25 has no mode="dicts"; this message must still print
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError, AttributeError):
+        return "unknown"
+
+
+VERSIONS = (f"python {sys.version.split()[0]}, numpy {np.__version__}, "
+            f"BLAS {blas_version()}; digests were "
+            f"recorded with python 3.11.7, numpy 2.4.6, BLAS scipy-openblas "
+            f"0.3.31.188.0")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

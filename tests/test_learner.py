@@ -6,6 +6,7 @@ from qrrn.env import EnvConfig, stream_rng
 from qrrn.learner import (Agent, AgentConfig, Batch, EmptyBatch, EmptyBuffer,
                           ReplayBuffer, Transition, epsilon)
 from qrrn.oracle import value_iteration
+from qrrn.policies import greedy
 
 
 def cfg(**kw):
@@ -287,6 +288,40 @@ def test_sync_target():
                                atol=1e-14)
 
 
+@pytest.mark.parametrize("b", [1, 7, 64])
+def test_bootstrap_table_matches_the_uncached_gather(b, monkeypatch):
+    agent = Agent(cfg(backend="network", hidden=(16, 8), n_quantiles=5),
+                  n_states=18, n_actions=3, seed=3)
+    head, rng = agent.head, np.random.default_rng(b)
+
+    def uncached(s):
+        boot = head.dists(s, target=True)
+        return boot[np.arange(len(s)), greedy(boot)]
+
+    forwards = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward",
+                        lambda *a, **k: forwards.append(1) or forward(*a, **k))
+    for _ in range(3):
+        # a few states repeated, then the same again, then unseen ones
+        for s in (rng.integers(0, 3, b), rng.integers(0, 3, b),
+                  rng.integers(0, 18, b)):
+            forwards.clear()
+            got = head.bootstrap(s)
+            assert len(forwards) <= 1
+            assert got.tobytes() == uncached(s).tobytes()
+        # an update moves the online net, which the table must not see
+        # until the sync; then it must not keep the old target's rows
+        agent.qr_update(Batch(s, rng.integers(0, 3, b), rng.normal(size=b),
+                              rng.integers(0, 18, b), np.zeros(b, bool)))
+        assert head.bootstrap(s).tobytes() == uncached(s).tobytes()
+        agent.sync_target()
+    forwards.clear()
+    head.bootstrap(s)
+    head.bootstrap(s)
+    assert len(forwards) == 1          # the second call is served whole
+
+
 def test_update_determinism():
     losses = []
     for _ in range(2):
@@ -306,14 +341,22 @@ def test_update_determinism():
 # ---------------------------------------------------------------------------
 # replay buffer
 
+def contents(buf: ReplayBuffer) -> list:
+    """Transitions the buffer holds, oldest first."""
+    order = (np.arange(buf.size) + (buf.cursor - buf.size)) % buf.capacity \
+        if buf.size == buf.capacity else np.arange(buf.size)
+    return [Transition(int(buf.s[i]), int(buf.a[i]), float(buf.r[i]),
+                       int(buf.s_next[i]), bool(buf.done[i])) for i in order]
+
+
 def test_buffer_fifo_overwrite():
     buf = ReplayBuffer(2)
     for i in range(3):
         buf.push(i, 0, float(i), i, False)
     assert len(buf) == 2
-    held = {t.s for t in buf.contents()}
+    held = {t.s for t in contents(buf)}
     assert held == {1, 2}
-    assert [t.s for t in buf.contents()] == [1, 2]
+    assert [t.s for t in contents(buf)] == [1, 2]
 
 
 def test_buffer_sample_with_replacement():

@@ -306,3 +306,44 @@ def test_net_parameters_are_views_of_one_vector():
     assert bits(net.flat) == b"".join(bits(p) for p in nn.params(net))
     net.flat += 1.0
     assert net.weights[1][0, 0] == twin.weights[1][0, 0] + 1.0
+
+
+@pytest.mark.parametrize("dims, seed", [([4, 6, 3], 5), ([18, 64, 64, 12], (1, 4)),
+                                        ([3, 2], None)])
+def test_init_draws_the_glorot_reference(dims, seed):
+    # each weight matrix drawn whole, in layer order, from the seed's
+    # generator; biases zero; with no seed everything is zero
+    net = nn.init(dims, seed=seed)
+    rng = None if seed is None else np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(list(seed) if isinstance(seed, tuple)
+                                               else seed)))
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        limit = np.sqrt(6.0 / (dims[i] + dims[i + 1]))
+        want = np.zeros((dims[i + 1], dims[i])) if rng is None else \
+            rng.uniform(-limit, limit, size=(dims[i + 1], dims[i]))
+        assert bits(w) == bits(want)
+        assert bits(b) == bits(np.zeros(dims[i + 1]))
+    assert [p.shape for p in nn.params(net)] == nn.layer_shapes(dims)
+
+
+BATCH_SIZES = [*range(1, 20), 32, 63, 64, 65, 100, 128]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([(64, 64), (5,), (4, 3), (32,)]),
+       st.sampled_from([4, 18, 40]), st.sampled_from(BATCH_SIZES), st.data())
+def test_a_rows_forward_bits_do_not_depend_on_the_other_rows(hidden, n_states,
+                                                             b, data):
+    # the premise of the learner's bootstrap table: a state's output row in
+    # a b-row batch has the same bits at any position, whatever the other
+    # rows hold (across row counts the bits may differ); it rests on the
+    # linked BLAS's gemm
+    net = nn.init([n_states, *hidden, 12], seed=0)
+    net.flat[:] = np.random.default_rng(data.draw(st.integers(0, 2**16))) \
+        .normal(size=net.flat.size)
+    states = arrays(np.int64, b, elements=st.integers(0, n_states - 1))
+    x, y = data.draw(states), data.draw(states)
+    i, j = data.draw(st.integers(0, b - 1)), data.draw(st.integers(0, b - 1))
+    y[j] = x[i]
+    assert bits(nn.forward(net, x, onehot=True)[i]) == \
+        bits(nn.forward(net, y, onehot=True)[j])

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -525,13 +526,17 @@ def test_network_backend_trains_and_resumes(tmp_path):
     full = train_one(cfg, 4)
     assert len(full.rows) == 3
 
+    # step 1500 lies inside a sync window (every 1000 steps): the resumed
+    # run refills the bootstrap table that the full run kept since step 1000
     ck = str(tmp_path / "net.qrrn")
     train_one(cfg, 4, stop_at=1500, checkpoint_path=ck)
     resumed = train_one(cfg, 4, resume=ck)
     assert resumed.rows == full.rows
-    for a, b in zip(resumed.agent.head.net.weights,
-                    full.agent.head.net.weights):
-        np.testing.assert_array_equal(a, b)
+    for flat in ("params", "target"):
+        assert getattr(resumed.agent.head, flat).tobytes() == \
+            getattr(full.agent.head, flat).tobytes()
+    assert resumed.agent.adam.m.tobytes() == full.agent.adam.m.tobytes()
+    assert resumed.agent.adam.v.tobytes() == full.agent.adam.v.tobytes()
     assert resumed.agent.adam.t == full.agent.adam.t
 
 
@@ -597,6 +602,39 @@ def test_header_bit_flip_runs_or_is_a_usage_error(saved, which, data):
             code = cli.main(argv)
         assert code in (0, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# header edits that would have the load allocate about 15 to 80 MB if it
+# built the agent before checking the arrays; no edit touches the table
+OVERSIZED_HEADERS = [
+    pytest.param("fixture", {"dims.n_states": 2**16}, id="n_states"),
+    pytest.param("fixture", {"dims.n_actions": 2**13}, id="n_actions"),
+    pytest.param("fixture", {"config.agent.n_quantiles": 2**12},
+                 id="n_quantiles"),
+    pytest.param("fixture", {"config.agent.buffer_size": 2**21},
+                 id="buffer_size"),
+    pytest.param("fixture", {"config.agent.buffer_size": 2**21,
+                             "buffer.capacity": 2**21}, id="capacity"),
+    pytest.param("network", {"dims.n_states": 2**16}, id="net-n_states"),
+    pytest.param("network", {"config.agent.hidden": [2**16]}, id="hidden"),
+    pytest.param("network", {"config.agent.hidden": [4, 2**10, 2**10]},
+                 id="hidden-layers"),
+]
+
+
+@pytest.mark.parametrize("which, edits", OVERSIZED_HEADERS)
+def test_header_cannot_size_the_loads_memory(saved, which, edits):
+    ck = read_checkpoint(str(saved / f"{which}.qrrn"))
+    for path, value in edits.items():
+        header_edit(path, value)(ck.header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpoint):
+            ck.build_agent()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.fixture(scope="module")
@@ -734,6 +772,16 @@ def test_traced_entry_points_stay_on_the_training_path(tmp_path):
     assert stats["learner.Agent.qr_update"][0] == updates
     assert stats["nn.adam_step"][0] == updates
     assert stats["nn.backward"][0] == updates
-    assert stats["nn.forward"][0] > 2 * updates
+    # an update's one nn.forward is the target forward that fills the
+    # bootstrap table (the online pass is forward_trace): none in a step
+    # the table serves whole, and a fill at least once per sync window
+    ids = np.frombuffer(tracer.name_id, dtype=np.int32)
+    parents = np.frombuffer(tracer.parent, dtype=np.int32)
+    forward, update = (tracer.names.index(k) for k in
+                       ("nn.forward", "learner.Agent.qr_update"))
+    per_update = np.bincount(parents[(ids == forward) & (parents >= 0)],
+                             minlength=len(ids))[ids == update]
+    assert set(per_update) == {0, 1}
+    assert stats["learner.Agent.sync_target"][0] <= per_update.sum()
     assert stats["nn.clone"][0] == 2
     assert stats["learner.Agent.sync_target"][0] == 6
