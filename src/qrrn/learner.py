@@ -35,15 +35,6 @@ class EmptyBatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: int
-    a: int
-    r: float
-    s_next: int
-    done: bool
-
-
 @dataclass
 class Batch:
     """Column-wise minibatch of transitions."""
@@ -300,6 +291,7 @@ class Agent:
         self._weights: dict = {}
         self.buffer = ReplayBuffer(cfg.buffer_size)
         self.steps_done = 0
+        self._online: dict = {}     # state -> read-only online atom row
         self.head = _HEADS[cfg.backend](n_states, n_actions, self.n,
                                         cfg.hidden, seed)
         self.adam = nn.AdamState.for_params(self.head.params)
@@ -314,8 +306,23 @@ class Agent:
     # ----- distribution access ------------------------------------------
 
     def action_dists(self, s: int, target: bool = False) -> np.ndarray:
-        """Per-action atoms at state s, shape (n_actions, n_quantiles)."""
-        return self.head.dists(s, target)
+        """Per-action atoms at state s, shape (n_actions, n_quantiles).
+
+        Online atoms are read-only rows of a table: the first call at a
+        state stores the one-row ``head.dists`` output that later calls
+        would repeat, and ``qr_update`` empties the table before it changes
+        the params. This rests on the online params changing only there, or
+        in ``Checkpoint.build_agent`` before the agent is returned. Target
+        atoms are never stored, and ``head.dists`` keeps nothing: the
+        behaviour policy calls it between updates.
+        """
+        if target:
+            return self.head.dists(s, target)
+        d = self._online.get(s)
+        if d is None:
+            d = self._online[s] = self.head.dists(s)
+            d.flags.writeable = False
+        return d
 
     def greedy_action(self, s: int) -> int:
         return int(greedy(self.head.dists(s)))
@@ -382,6 +389,7 @@ class Agent:
         g, loss = _quantile_step(u, self._kernel_weights(len(batch)),
                                  self.cfg.kappa)
         grad = self.head.grads(batch.s, batch.a, g, trace)
+        self._online.clear()
         if self.cfg.optimizer == "adam":
             nn.adam_step(self.head.params, grad, self.adam, self.cfg.lr)
         else:

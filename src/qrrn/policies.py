@@ -128,9 +128,7 @@ class ExecPolicy:
     ssd_thres: float = 0.0
 
     def __post_init__(self):
-        kind = {"thresholded_ssd": "t-ssd"}.get(self.kind, self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind not in _KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown exec policy {self.kind!r}")
         if not self.ssd_thres >= 0:
             raise ValueError(f"ssd_thres must be >= 0, got {self.ssd_thres}")

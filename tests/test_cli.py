@@ -467,6 +467,9 @@ ILL_TYPED_CONFIGS = {
         {"exec_policy": "greedy"}, {"exec_policy": "ssd"},
         {"exec_policy": "t-ssd", "ssd_thres": 10**400}]},
     "lr-huge-int": {"agent": {"lr": 10**400}},
+    # t-ssd under its legacy name is an unknown exec policy
+    "exec_policy-thresholded_ssd": {"exec_policies": [
+        {"exec_policy": "thresholded_ssd", "ssd_thres": 15.0}]},
 }
 
 

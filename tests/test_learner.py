@@ -1,16 +1,27 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrrn import nn
 from qrrn.env import EnvConfig, stream_rng
 from qrrn.learner import (Agent, AgentConfig, Batch, EmptyBatch, EmptyBuffer,
-                          ReplayBuffer, Transition, epsilon)
+                          ReplayBuffer, epsilon)
 from qrrn.oracle import value_iteration
 from qrrn.policies import greedy
 
 
 def cfg(**kw):
     return AgentConfig(**kw)
+
+
+class Transition(NamedTuple):
+    s: int
+    a: int
+    r: float
+    s_next: int
+    done: bool
 
 
 def batch_of(*ts):
@@ -286,6 +297,36 @@ def test_sync_target():
     netagent.sync_target()
     np.testing.assert_allclose(netagent.action_dists(0, target=True), dist_on,
                                atol=1e-14)
+
+
+@settings(max_examples=40)
+@given(backend=st.sampled_from(["tabular", "network"]),
+       seed=st.integers(0, 2**16),
+       states=st.lists(st.integers(0, 5), min_size=1, max_size=6))
+def test_action_dists_table_serves_the_forwards_bits(backend, seed, states):
+    agent = Agent(cfg(backend=backend, hidden=(8,), n_quantiles=3),
+                  n_states=6, n_actions=3, seed=seed)
+    rng = np.random.default_rng(seed)
+
+    def check():
+        for s in states:
+            for _ in range(2):              # a first and a repeated call
+                got = agent.action_dists(s)
+                assert not got.flags.writeable
+                want = agent.head.dists(s)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    check()
+    for _ in range(3):
+        b = int(rng.integers(1, 9))
+        agent.qr_update(Batch(s=rng.integers(0, 6, b), a=rng.integers(0, 3, b),
+                              r=rng.normal(size=b),
+                              s_next=rng.integers(0, 6, b),
+                              done=rng.random(b) < 0.3))
+        check()
+        agent.sync_target()
+        check()
 
 
 @pytest.mark.parametrize("b", [1, 7, 64])

@@ -147,9 +147,9 @@ def test_exec_policy_serialization():
     assert pol.to_dict() == {"exec_policy": "t-ssd", "ssd_thres": 15.0}
     assert ExecPolicy.from_dict({"exec_policy": "greedy"}).to_dict() == \
         {"exec_policy": "greedy"}
-    assert ExecPolicy("thresholded_ssd", 1.0).kind == "t-ssd"
-    with pytest.raises(ValueError):
-        ExecPolicy.from_dict({"exec_policy": "cvar"})
+    for kind in ("cvar", "thresholded_ssd"):
+        with pytest.raises(ValueError, match="unknown exec policy"):
+            ExecPolicy.from_dict({"exec_policy": kind})
     with pytest.raises(ValueError):
         ExecPolicy.from_dict({"policy": "greedy"})
     for kind in ("greedy", "ssd"):      # a threshold that would be dropped

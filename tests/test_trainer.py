@@ -203,6 +203,33 @@ def test_evaluate_chain_return(chain3_map):
     assert trace.reached_goal and trace.visited == [0, 1, 2, 3]
 
 
+def test_a_frozen_network_agent_forwards_each_state_once(tmp_path, monkeypatch):
+    cfg = small_cfg(total_steps=2000, eval_interval=2000, seeds=[1],
+                    agent=AgentConfig(backend="network"))
+    path = str(tmp_path / "c.qrrn")
+    graph = train_one(cfg, 1, checkpoint_path=path).graph
+    agent = read_checkpoint(path).build_agent()
+    forwards = []
+    counted = nn.forward
+    monkeypatch.setattr(nn, "forward",
+                        lambda *a, **k: forwards.append(1) or counted(*a, **k))
+
+    def rollouts():
+        return [evaluate(agent, pol, graph, cfg.env, cfg.agent.gamma,
+                         cfg.eval_episode_cap, seed=(1, 2, k))
+                for pol in POLS for k in range(10)]
+
+    cached = rollouts()
+    decided = {s for t in cached for s in t.visited[:-1]}
+    assert len(forwards) == len(decided)
+    forwards.clear()
+    table_action_dists = agent.action_dists
+    monkeypatch.setattr(agent, "action_dists", lambda s, target=False: (
+        agent._online.clear(), table_action_dists(s, target))[1])
+    assert rollouts() == cached
+    assert len(forwards) == sum(len(t.actions) for t in cached)
+
+
 def test_trace_return_recomputable(two_route_map):
     agent = Agent(AgentConfig(), two_route_map.n_states,
                   two_route_map.action_dim)
