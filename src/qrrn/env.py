@@ -15,6 +15,8 @@ so terminal arrivals always pay 0.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,6 @@ class InternalError(RuntimeError):
 
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 # numpy's SeedSequence hash (pool size 4) and PCG64's seeding multiplier
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -40,6 +41,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MAX_STREAMS = 2**32     # episode words per prefix: one uint32 column
 
 
 def _key_words(keys) -> np.ndarray:
@@ -77,27 +79,48 @@ def stream_rng(*keys) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-# The hash below runs on Python ints and uint32 columns alike. Every Python
-# int that meets a column lies in [0, 2**32), so the column stays uint32
+# The hash below runs on Python ints and uint32 arrays alike. Every Python
+# int that meets an array lies in [0, 2**32), so the array stays uint32
 # under legacy and NEP 50 promotion both, and wraps as numpy's C code does.
 
 def _mul32(x, c: int):
-    """x * c mod 2**32 for a Python int or a uint32 column x."""
+    """x * c mod 2**32 for a Python int or a uint32 array x."""
     if isinstance(x, np.ndarray):
         return x * np.uint32(c)
     return (x * c) & _MASK32
 
 
+@functools.lru_cache(maxsize=64)
+def _hash_consts(const: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constants c_0 = const, ..., c_calls as a read-only uint32
+    column: call j xors in c_j and multiplies by c_(j+1) = c_j * mult, so
+    the constants follow from the call count alone."""
+    c = [const]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _MASK32)
+    col = np.array(c, dtype=np.uint32)[:, None]
+    col.flags.writeable = False
+    return col
+
+
 def _hashes(init: int, mult: int):
     """SeedSequence's running hash: each call xors in the constant, steps
-    it and multiplies by the new one. Returns the hash function."""
+    it and multiplies by the new one. Returns ``hashmix(x, rows=0)``: one
+    call on x, or with ``rows=m`` the next m calls, call j on row j of x
+    (an (m, n) array, or one row that broadcasts), as one pass per
+    operation."""
     const = init
 
-    def hashmix(x):
+    def hashmix(x, rows: int = 0):
         nonlocal const
-        x = x ^ const
-        const = (const * mult) & _MASK32
-        x = _mul32(x, const)
+        if rows:
+            c = _hash_consts(const, mult, rows)
+            const = int(c[-1, 0])
+            x = (x ^ c[:-1]) * c[1:]
+        else:
+            x = x ^ const
+            const = (const * mult) & _MASK32
+            x = _mul32(x, const)
         return x ^ (x >> _XSHIFT)
     return hashmix
 
@@ -107,18 +130,45 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def stream_states(prefix, n: int) -> list[dict]:
-    """``stream_rng(*prefix, ep).bit_generator.state`` for ep in range(n).
+_U32 = np.uint64(_MASK32)
+_S32 = np.uint64(32)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of a * b, for a uint64 column a and b < 2**64,
+    summed from 32-bit partial products."""
+    a0, a1 = a & _U32, a >> _S32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _S32) + (p01 & _U32) + (p10 & _U32)
+    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+
+
+def _add128(hi, lo, hi2, lo2):
+    """(hi, lo) + (hi2, lo2) mod 2**128 on uint64 halves."""
+    lo = lo + lo2
+    return hi + hi2 + (lo < lo2), lo
+
+
+def stream_states(prefix, n: int) -> np.ndarray:
+    """The PCG64 states of ``stream_rng(*prefix, ep)`` for ep in range(n),
+    as uint64 columns (state hi, state lo, inc hi, inc lo): shape (4, n).
 
     SeedSequence is re-implemented over the episode column: the prefix
-    words are the same in every key and are hashed once as Python ints,
-    the episode word is one uint32 column. Then ``generate_state(4,
-    uint64)`` and PCG64's seeding step, which runs on Python ints. The
-    states match ``stream_rng`` bit for bit; a bad prefix fails with the
-    message of ``stream_rng(*prefix, 0)``.
+    words are the same in every key and are hashed once as Python ints.
+    The episode word is one uint32 column. Inside the pool (a key of four
+    words or fewer) it meets the pool's cross-mix column by column; past
+    it, it mixes into all four pool words as one (4, n) pass. Then
+    ``generate_state(4, uint64)`` as one (8, n) pass, and PCG64's seeding
+    step on uint64 halves. ``state_dict`` turns a column into
+    ``bit_generator.state``; the states match ``stream_rng`` bit for bit.
+    A bad prefix fails with the message of ``stream_rng(*prefix, 0)``.
     """
+    if not 0 <= n <= MAX_STREAMS:
+        raise ValueError(f"n must lie in [0, 2**32], got {n}")
     prefix_words = _key_words((*prefix, 0)).tolist()[:-1]
-    words = [*prefix_words, np.arange(n, dtype=np.uint32)]  # episode column
+    episode = np.arange(n, dtype=np.uint32)
+    words = [*prefix_words, episode]
     # SeedSequence.mix_entropy: hash the first words into the pool (zeros
     # past the key's end), mix every pool word into every other, then mix
     # each remaining word into the whole pool
@@ -128,23 +178,34 @@ def stream_states(prefix, n: int) -> list[dict]:
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
+    for word in words[_POOL:-1]:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): every pool word has met the column by now,
-    # so all eight output words are columns, paired little-endian
-    hashmix = _hashes(_INIT_B, _MULT_B)
-    state = np.stack([hashmix(pool[i % _POOL]) for i in range(2 * _POOL)], axis=1)
-    # PCG64's seeding from words (seed hi, seed lo, inc hi, inc lo): state 0,
-    # one step, add the seed, one step
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        s = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": s, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    if len(words) > _POOL:      # the episode word, past the pool
+        pool = _mix(np.array(pool, dtype=np.uint32)[:, None],
+                    hashmix(episode, rows=_POOL))
+    # generate_state(4, uint64): every pool word has met the column by now;
+    # output word i hashes pool word i % 4, and words pair little-endian
+    out = _hashes(_INIT_B, _MULT_B)(np.vstack([pool, pool]), rows=2 * _POOL)
+    out = out.astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = out[0::2] | (out[1::2] << _S32)
+    # PCG64's seeding: inc = initseq << 1 | 1, then state 0, one step, add
+    # the seed, one step: state = (inc + seed) * mult + inc, mod 2**128
+    one = np.uint64(1)
+    i_hi, i_lo = (i_hi << one) | (i_lo >> np.uint64(63)), (i_lo << one) | one
+    hi, lo = _add128(s_hi, s_lo, i_hi, i_lo)
+    m_hi, m_lo = _PCG_MULT >> 64, _PCG_MULT & (2**64 - 1)
+    hi = _mulhi64(lo, m_lo) + hi * np.uint64(m_lo) + lo * np.uint64(m_hi)
+    hi, lo = _add128(hi, lo * np.uint64(m_lo), i_hi, i_lo)
+    return np.stack([hi, lo, i_hi, i_lo])
+
+
+def state_dict(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    """``bit_generator.state`` of the PCG64 stream whose (state hi, state
+    lo, inc hi, inc lo) words are a column of ``stream_states``."""
+    return {"bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0, "uinteger": 0}
 
 
 @dataclass
@@ -156,12 +217,14 @@ class EnvConfig(Config):
     obs_encoding: str = "one-hot"
 
     def __post_init__(self):
-        if not self.r_base > 0:
-            raise ValueError(f"r_base must be > 0, got {self.r_base}")
-        if self.r_loopback < 0:
-            raise ValueError(f"r_loopback must be >= 0, got {self.r_loopback}")
-        if not self.crosswalk_std > 0:
-            raise ValueError(f"crosswalk_std must be > 0, got {self.crosswalk_std}")
+        if not 0 < self.r_base < math.inf:
+            raise ValueError(f"r_base must be finite and > 0, got {self.r_base}")
+        if not 0 <= self.r_loopback < math.inf:
+            raise ValueError(f"r_loopback must be finite and >= 0, "
+                             f"got {self.r_loopback}")
+        if not 0 < self.crosswalk_std < math.inf:
+            raise ValueError(f"crosswalk_std must be finite and > 0, "
+                             f"got {self.crosswalk_std}")
         if self.episode_cap < 1:
             raise ValueError(f"episode_cap must be >= 1, got {self.episode_cap}")
         if self.obs_encoding not in ("one-hot", "index"):

@@ -15,8 +15,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .env import (EnvConfig, fixed_reward, reward_sample, stream_rng,
-                  stream_states)
+from .env import (MAX_STREAMS, EnvConfig, fixed_reward, reward_sample,
+                  state_dict, stream_rng, stream_states)
 from .roadnet import GraphMap, Route, transition
 
 
@@ -101,14 +101,15 @@ def mc_returns(m: GraphMap, cfg: EnvConfig, policy, start: int, gamma: float,
     steps, recording each step's discount and its fixed reward or a
     crosswalk draw. A walk that reaches no goal would hit the cap in every
     episode and raises NonterminatingPolicy. Episode ``ep`` draws its
-    crosswalk rewards in walk order from stream (seed, ep). The states of
-    all streams are derived in one batch before the walk, also on a route
-    that never draws, so a bad seed fails first, as in a per-episode loop.
-    Only a walk with a crosswalk loads them, one episode at a time, into
-    one generator; a route without one costs the derivation alone. Returns
-    are summed step by step in walk order as one vector over the episodes:
-    the same float operations per episode as walking each episode on its
-    own.
+    crosswalk rewards in walk order from stream (seed, ep), so at most
+    2**32 episodes have a stream each. The states of all streams are
+    derived as columns before the walk, also on a route that never draws,
+    so a bad seed fails first, as in a per-episode loop. Only a walk with a
+    crosswalk turns them into state dicts and loads them, one episode at a
+    time, into one generator; a route without one costs the derivation
+    alone. Returns are summed step by step in walk order as one vector
+    over the episodes: the same float operations per episode as walking
+    each episode on its own.
     """
     policy = np.asarray(policy, dtype=np.int64)
     if policy.shape != (m.n_states,):
@@ -116,6 +117,8 @@ def mc_returns(m: GraphMap, cfg: EnvConfig, policy, start: int, gamma: float,
                          f"{m.n_states} states")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if episodes > MAX_STREAMS:
+        raise ValueError(f"episodes must be <= 2**32, got {episodes}")
     states = stream_states((seed,), episodes)
     steps = []                  # (discount, arrival, departure, fixed reward)
     cur, disc = start, 1.0
@@ -133,8 +136,8 @@ def mc_returns(m: GraphMap, cfg: EnvConfig, policy, start: int, gamma: float,
     draws = []                  # episode-major, each episode in walk order
     if crossings:
         rng = stream_rng(0)     # a vessel: each episode loads its own state
-        for state in states:
-            rng.bit_generator.state = state
+        for column in states.T.tolist():
+            rng.bit_generator.state = state_dict(*column)
             draws.extend([reward_sample(m, nxt, prev, cfg, rng)
                           for nxt, prev in crossings])
     columns = iter(np.reshape(draws, (episodes, len(crossings))).T)

@@ -92,10 +92,14 @@ class RunConfig(Config):
     out_dir: str = "runs/out"
 
     def __post_init__(self):
-        if self.total_steps < self.eval_interval:
-            raise ValueError("total_steps must be >= eval_interval")
         if self.eval_interval < 1 or self.eval_episode_cap < 1:
             raise ValueError("eval_interval and eval_episode_cap must be >= 1")
+        steps, interval = self.total_steps, self.eval_interval
+        if steps < interval or steps % interval:
+            # the last evaluation, which the final route classes read, is
+            # at the last step
+            raise ValueError(f"total_steps must be a multiple of eval_interval "
+                             f"({interval}), got {steps}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):

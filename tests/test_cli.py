@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -124,6 +126,22 @@ def test_trials_seed_and_step_overrides(tmp_path, capsys):
     lines = (out / "curves.csv").read_text().splitlines()
     assert len(lines) == 1 + 3
     assert all(line.startswith("5,") for line in lines[1:])
+
+
+def test_total_steps_off_the_eval_grid_is_a_usage_error(tmp_path, capsys):
+    # 250 steps at an interval of 100 once ran no evaluation at the last
+    # step, and printed an empty final route class per policy with exit 0
+    cfg = write_config(tmp_path / "cfg.json", total_steps=250,
+                       eval_interval=100, seeds=[1])
+    out = tmp_path / "o"
+    for argv in (["trials", str(cfg)], ["train", str(cfg)],
+                 ["trials", str(write_config(tmp_path / "ok.json")),
+                  "--total-steps", "5000"]):
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 2, argv
+        assert "total_steps must be a multiple of eval_interval" in stderr
+        assert "final route classes" not in stdout
+    assert not out.exists()
 
 
 def test_trials_lr_sweep(tmp_path, capsys):
@@ -322,6 +340,40 @@ def test_oracle_negative_seed_on_a_route_without_draws(tmp_path, capsys,
     assert "stream keys must be non-negative, got [-1, 0]" in stderr
 
 
+def test_oracle_episodes_beyond_the_stream_words(tmp_path, capsys,
+                                                two_route_map):
+    # one uint32 word per episode: 2**32 + 1 episodes once asked for a
+    # 16 GiB column and died with a traceback; the refusal allocates nothing
+    mpath = tmp_path / "m.json"
+    mpath.write_text(emit_map(two_route_map))
+    rpath = tmp_path / "route.json"
+    rpath.write_text(json.dumps(shortest_path(two_route_map).nodes))
+    tracemalloc.start()
+    try:
+        code, stdout, stderr = run(capsys, "oracle", str(mpath), "--mc-policy",
+                                   str(rpath), "--episodes", str(2**32 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "episodes must be <= 2**32, got 4294967297" in stderr
+    assert "monte-carlo" not in stdout and "Traceback" not in stderr
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("flag", ["--r-base", "--r-loopback"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_oracle_non_finite_reward_is_a_usage_error(tmp_path, capsys,
+                                                   chain2_map, flag, value):
+    # --r-base inf once printed a nan/-inf Q table with exit 0
+    path = tmp_path / "m.json"
+    path.write_text(emit_map(chain2_map))
+    code, stdout, stderr = run(capsys, "oracle", str(path), f"{flag}={value}")
+    assert code == 2
+    assert "must be finite" in stderr and "Traceback" not in stderr
+    assert "value iteration" not in stdout
+
+
 def test_oracle_missing_map(tmp_path, capsys):
     code, _, stderr = run(capsys, "oracle", str(tmp_path / "none.json"))
     assert code == 2
@@ -471,6 +523,33 @@ ILL_TYPED_CONFIGS = {
     "exec_policy-thresholded_ssd": {"exec_policies": [
         {"exec_policy": "thresholded_ssd", "ssd_thres": 15.0}]},
 }
+
+
+# Python's JSON reader takes Infinity and NaN as floats. An infinite
+# r_base once wrote -inf returns with exit 0, an infinite crosswalk_std
+# gave up rejection sampling with a traceback, and a NaN r_loopback
+# failed only after training
+NON_FINITE_ENVS = {
+    "r_base-inf": {"r_base": math.inf},
+    "crosswalk_std-inf": {"crosswalk_std": math.inf},
+    "r_loopback-nan": {"r_loopback": math.nan},
+    "r_base-nan": {"r_base": math.nan},
+    "r_loopback-inf": {"r_loopback": math.inf},
+    "crosswalk_std-nan": {"crosswalk_std": math.nan},
+}
+
+
+@pytest.mark.parametrize("env", NON_FINITE_ENVS.values(),
+                         ids=NON_FINITE_ENVS.keys())
+def test_non_finite_env_value_is_a_usage_error(tmp_path, capsys, env):
+    cfg = write_config(tmp_path / "cfg.json", env={"r_base": 3.0, **env},
+                       total_steps=200, eval_interval=100, seeds=[1])
+    assert "Infinity" in cfg.read_text() or "NaN" in cfg.read_text()
+    out = tmp_path / "o"
+    code, _, stderr = run(capsys, "trials", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "must be finite" in stderr and "Traceback" not in stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override", ILL_TYPED_CONFIGS.values(),

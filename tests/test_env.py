@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrrn.env import (EnvConfig, EpisodeFinished, RoadEnv, reward_sample,
-                      stream_rng, stream_states, trunc_normal)
+                      state_dict, stream_rng, stream_states, trunc_normal)
 from qrrn.oracle import truncated_normal_moments
 from qrrn.roadnet import InvalidAction, build_map
 
@@ -221,16 +221,27 @@ WORDS = st.one_of(st.integers(0, 2**32 - 1),
 
 
 @given(st.lists(st.one_of(WORDS, st.tuples(WORDS, WORDS)), max_size=7),
-       st.sampled_from([0, 1, 2, 100]))
+       st.sampled_from([0, 1, 2, 100, 1000]))
 @settings(max_examples=150)
 def test_stream_states_match_stream_rng(prefix, n):
     # pins the re-implemented hash, and the word split both share, to
-    # numpy's own SeedSequence on a list of Python ints
+    # numpy's own SeedSequence on a list of Python ints; prefixes of 0 to 7
+    # words put the episode word inside the pool and past it
     prefix = tuple(prefix)
     flat = [w for k in prefix for w in (k if isinstance(k, tuple) else (k,))]
     want = [np.random.PCG64(np.random.SeedSequence([*flat, ep])).state
             for ep in range(n)]
     assert [stream_rng(*prefix, ep).bit_generator.state
             for ep in range(n)] == want
-    assert stream_states(prefix, n) == want
+    columns = stream_states(prefix, n)
+    assert columns.shape == (4, n) and columns.dtype == np.uint64
+    assert [state_dict(*c) for c in columns.T.tolist()] == want
+
+
+def test_stream_states_refuse_more_than_one_column_word():
+    # episode 2**32 would wrap to episode 0's word, which numpy hashes as
+    # two words; the refusal comes before any column is allocated
+    for n in (-1, 2**32 + 1):
+        with pytest.raises(ValueError, match=r"n must lie in \[0, 2\*\*32\]"):
+            stream_states((1,), n)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrrn.env import EnvConfig, reward_sample, stream_rng
+from qrrn import oracle
+from qrrn.env import EnvConfig, reward_sample, state_dict, stream_rng
 from qrrn.oracle import (NonterminatingPolicy, TooFewSamples,
                          empirical_quantiles, greedy_rollout, mc_returns,
                          ssd_grid_check, truncated_normal_moments,
@@ -91,6 +92,39 @@ def test_mc_returns_crosswalk_free_route_zero_variance(two_route_map):
     samples = mc_returns(two_route_map, EnvConfig(r_base=3.0), policy,
                          start=0, gamma=0.99, episodes=200, seed=0)
     assert samples.std() == 0.0
+
+
+def test_crosswalk_free_batch_builds_no_generator_and_no_state(
+        two_route_map, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a route without a draw loads no stream")
+    monkeypatch.setattr(oracle, "stream_rng", refuse)
+    monkeypatch.setattr(oracle, "state_dict", refuse)
+    policy = np.zeros(two_route_map.n_states, dtype=int)
+    policy[0] = 1    # the robust branch
+    samples = mc_returns(two_route_map, EnvConfig(r_base=3.0), policy,
+                         start=0, gamma=0.99, episodes=100, seed=(4, 2))
+    assert np.all(samples == samples[0])
+
+
+def test_crosswalk_batch_loads_one_vessel(two_route_map, monkeypatch):
+    made, loaded = [], []
+    monkeypatch.setattr(oracle, "stream_rng",
+                        lambda *keys: made.append(keys) or stream_rng(*keys))
+    monkeypatch.setattr(oracle, "state_dict",
+                        lambda *words: loaded.append(words) or state_dict(*words))
+    policy = np.zeros(two_route_map.n_states, dtype=int)   # the noisy route
+    samples = mc_returns(two_route_map, EnvConfig(r_base=3.0), policy,
+                         start=0, gamma=0.99, episodes=100, seed=(4, 2))
+    assert len(made) == 1 and len(loaded) == 100
+    assert samples.std() > 0.0
+
+
+def test_mc_returns_refuses_more_episodes_than_stream_words(two_route_map):
+    policy = np.zeros(two_route_map.n_states, dtype=int)
+    with pytest.raises(ValueError, match=r"episodes must be <= 2\*\*32"):
+        mc_returns(two_route_map, EnvConfig(), policy, start=0, gamma=0.99,
+                   episodes=2**32 + 1, seed=0)
 
 
 def test_mc_returns_nonterminating(two_route_map):

@@ -133,10 +133,12 @@ agent_configs = st.builds(
 scenario_params = st.builds(ScenarioParams, noisy_len=st.integers(),
                             robust_len=st.integers(),
                             robust2_len=st.none() | st.integers())
+# total_steps is a multiple of eval_interval: 10**6 = 2**6 * 5**6
+DIVISORS = sorted(2**i * 5**j for i in range(7) for j in range(7))
 run_configs = st.builds(
     RunConfig, map=names | st.dictionaries(names, st.integers(), max_size=3),
     env=env_configs, agent=agent_configs, total_steps=st.just(10**6),
-    eval_interval=sizes, eval_episode_cap=sizes,
+    eval_interval=st.sampled_from(DIVISORS), eval_episode_cap=sizes,
     exec_policies=st.lists(st.sampled_from(POLS), min_size=1, max_size=3,
                            unique=True),
     seeds=st.lists(st.integers(0, 10**9), min_size=1, max_size=4,
