@@ -175,6 +175,9 @@ def _load_ck(path: str):
 
 
 def cmd_trials(args) -> int:
+    if args.jobs < 0:
+        raise ConfigFailure(f"--jobs must be >= 0 (0 picks one per seed, "
+                            f"capped at cores), got {args.jobs}")
     seeds = _parse_seed_list(args.seeds) if args.seeds else None
     cfg = _load_config(args.config, seeds=seeds, total_steps=args.total_steps,
                        out_dir=args.out)

@@ -111,6 +111,10 @@ class AgentConfig(Config):
             raise ValueError("lr must be > 0")
         if self.buffer_size < 1 or self.batch_size < 1 or self.gradient_steps < 1:
             raise ValueError("buffer_size, batch_size, gradient_steps must be >= 1")
+        if self.batch_size > self.buffer_size:
+            # updates start once the buffer holds a batch: never, here
+            raise ValueError(f"batch_size {self.batch_size} exceeds "
+                             f"buffer_size {self.buffer_size}")
         if not 0.0 < self.exploration_fraction <= 1.0:
             raise ValueError("exploration_fraction must lie in (0, 1]")
         if not 0.0 <= self.exploration_final_eps <= 1.0:
@@ -151,12 +155,25 @@ def epsilon(step: int, total_steps: int, cfg: AgentConfig) -> float:
 # ``layout`` (names and shapes from the sizes alone, before anything is
 # allocated), ``dists``, ``online`` (atoms of the taken actions and a trace
 # for ``grads``), ``bootstrap`` (target atoms of the target-greedy action),
-# ``grads`` (a flat vector like ``params``) and ``sync`` (target <- online).
+# ``grads`` (a flat vector like ``params``), ``greedy`` (the online greedy
+# action at one state), ``sync`` (target <- online) and ``version`` (a count
+# of changes to ``params``, which ``Agent.qr_update`` moves).
 
 class TableHead:
     """Atoms as a dense (state, action, atom) table and its target copy.
     A table has no layers and no drawn init, so ``hidden`` and ``seed`` go
-    unused."""
+    unused.
+
+    Every state's greedy action is one pass over a whole table, kept with
+    the ``version`` of the params it came from. ``sync`` records that the
+    target holds the current version; a new head, and so a loaded agent,
+    starts with it unknown, as a checkpoint's target may differ from its
+    params. ``bootstrap`` reads the table of the target's version, filling
+    it if missing. ``greedy`` fills it only when the target holds the
+    current version, so the next bootstrap reuses it; otherwise it takes
+    the one state's pick. That is one pass per sync window, not one per
+    update and step. The table is derived state; a checkpoint omits it.
+    """
 
     names = (["theta"], ["theta_target"], ["opt_m"], ["opt_v"])
 
@@ -173,6 +190,9 @@ class TableHead:
         self.theta_target = self.target.reshape(shape)
         self._rows = self.params.reshape(-1, n)     # one row per (s, a) cell
         self._atoms = np.arange(n)[:, None]
+        self.version = 0
+        self._target_version = None                 # unknown until a sync
+        self._greedy, self._greedy_version = None, None
 
     def dists(self, states, target: bool = False) -> np.ndarray:
         return (self.theta_target if target else self.theta)[states]
@@ -182,11 +202,20 @@ class TableHead:
         cells = states * self.theta.shape[1] + actions
         return self._rows.take(cells, axis=0), cells
 
+    def _greedy_table(self, version, table) -> np.ndarray:
+        if self._greedy_version != version:
+            self._greedy, self._greedy_version = greedy(table), version
+        return self._greedy
+
+    def greedy(self, s: int):
+        if self._target_version == self.version:
+            return self._greedy_table(self.version, self.theta)[s]
+        return greedy(self.theta[s])
+
     def bootstrap(self, next_states) -> np.ndarray:
-        # one mean over the whole target table; s' picks the rows. The
-        # target syncs every step by default, so nothing is kept across calls
-        tt = self.theta_target
-        return tt[next_states, greedy(tt)[next_states]]
+        tt, v = self.theta_target, self._target_version
+        a_star = greedy(tt) if v is None else self._greedy_table(v, tt)
+        return tt[next_states, a_star[next_states]]
 
     def grads(self, states, actions, g, trace) -> np.ndarray:
         # bincount adds each cell's terms in batch order, as np.add.at
@@ -195,6 +224,7 @@ class TableHead:
 
     def sync(self) -> None:
         np.copyto(self.target, self.params)
+        self._target_version = self.version
 
 
 class NetHead:
@@ -235,6 +265,7 @@ class NetHead:
         self._grad = np.empty_like(self.params)
         self._grad_slots = nn.split(self._grad, self.shapes)
         self._boot: dict = {}       # b -> (known, atom rows)
+        self.version = 0
 
     def dists(self, states, target: bool = False) -> np.ndarray:
         y = nn.forward(self.net_target if target else self.net, states,
@@ -244,6 +275,9 @@ class NetHead:
     def online(self, states, actions):
         y, trace = nn.forward_trace(self.net, states, onehot=True)
         return y.reshape(-1, *self.shape)[np.arange(len(y)), actions], trace
+
+    def greedy(self, s: int):
+        return greedy(self.dists(s))
 
     def bootstrap(self, next_states) -> np.ndarray:
         b = len(next_states)
@@ -288,7 +322,7 @@ class Agent:
         self.n_actions = n_actions
         self.n = cfg.n_quantiles
         self.taus = midpoints(self.n)
-        self._weights: dict = {}
+        self._kernel: dict = {}     # b -> weights and scratch
         self.buffer = ReplayBuffer(cfg.buffer_size)
         self.steps_done = 0
         self._online: dict = {}     # state -> read-only online atom row
@@ -325,7 +359,7 @@ class Agent:
         return d
 
     def greedy_action(self, s: int) -> int:
-        return int(greedy(self.head.dists(s)))
+        return int(self.head.greedy(s))
 
     def behavior_action(self, s: int, step: int, total_steps: int,
                         rng: np.random.Generator) -> int:
@@ -368,14 +402,21 @@ class Agent:
         """
         return self._residuals(batch)[0].transpose(2, 0, 1)
 
-    def qr_update(self, batch: Batch) -> float:
-        """One optimizer step on the quantile regression loss; returns it.
+    def td_loss(self, batch: Batch) -> float:
+        """The quantile regression loss of a minibatch at the current
+        params: per transition sum_i E_j[rho_taui(delta_ij)], averaged over
+        the batch. It is formed from the kernel's intermediates, so it
+        agrees with ``quantile_huber`` to rounding (1e-12 relative), not
+        bit for bit. Draws nothing and changes no param."""
+        u, _ = self._residuals(batch)
+        return _quantile_loss(u, self._kernel_arrays(len(batch)),
+                              self.cfg.kappa)
 
-        The loss per transition is sum_i E_j[rho_taui(delta_ij)], averaged
-        over the batch. It is computed from the gradient's intermediates
-        rather than from ``quantile_huber``, so it agrees with that
-        definition to rounding (1e-12 relative), not bit for bit; the
-        parameter update itself is bit-identical to taking
+    def qr_update(self, batch: Batch) -> None:
+        """One optimizer step on the quantile regression loss (see
+        ``td_loss``, which this does not compute).
+
+        The parameter update is bit-identical to taking
         ``quantile_huber_grad``, its mean over j and the optimizer step in
         that order. The tabular gradient is accumulated per sampled
         transition (a pair occurring twice in the batch contributes twice)
@@ -386,54 +427,68 @@ class Agent:
         takes one batch-mean gradient. Target parameters are untouched.
         """
         u, trace = self._residuals(batch)
-        g, loss = _quantile_step(u, self._kernel_weights(len(batch)),
-                                 self.cfg.kappa)
+        g = _quantile_step(u, self._kernel_arrays(len(batch)), self.cfg.kappa)
         grad = self.head.grads(batch.s, batch.a, g, trace)
         self._online.clear()
+        self.head.version += 1
         if self.cfg.optimizer == "adam":
             nn.adam_step(self.head.params, grad, self.adam, self.cfg.lr)
         else:
             nn.sgd_step(self.head.params, grad, self.cfg.lr)
-        return loss
 
-    def _kernel_weights(self, b: int):
+    def _kernel_arrays(self, b: int):
         """The kernel's (n, n, b) weights 1 - tau_i and tau_i for batch
-        size b, built on first use."""
-        if b not in self._weights:
+        size b, and scratch of that shape for psi and the sign mask, built
+        on first use."""
+        if b not in self._kernel:
             col = self.taus.reshape(-1, 1, 1)
             shape = (self.n, self.n, b)
-            self._weights[b] = (np.broadcast_to(1.0 - col, shape).copy(),
-                                np.broadcast_to(col, shape).copy())
-        return self._weights[b]
+            self._kernel[b] = (np.broadcast_to(1.0 - col, shape).copy(),
+                               np.broadcast_to(col, shape).copy(),
+                               np.empty(shape), np.empty(shape, dtype=bool))
+        return self._kernel[b]
 
     def sync_target(self) -> None:
         self.head.sync()
 
 
-def _quantile_step(u: np.ndarray, weights, kappa: float):
-    """Loss gradient per online atom, g[i, b], and the loss.
-
-    ``u`` holds residuals u[i, j, b] and ``weights`` the arrays 1 - tau_i
-    and tau_i at u's shape. Each term |tau_i - [u < 0]| * psi(u), with
-    psi(u) = clip(u / kappa, -1, 1), is the same product that
-    ``quantile_huber_grad`` forms, and g = -mean_j of the terms is summed
-    in ndarray.mean's order and negated last, so every bit of g agrees with
-    the unfused definition, signed zeros included.
-    """
-    n = u.shape[0]
-    psi = u / kappa
+def _kernel_terms(u: np.ndarray, arrays, kappa: float):
+    """The terms |tau_i - [u < 0]| * psi(u), with psi(u) = clip(u / kappa,
+    -1, 1), as a fresh C-ordered array, and psi, in the scratch of
+    ``arrays`` (``Agent._kernel_arrays`` at u's shape)."""
+    lo, hi, psi, neg = arrays
+    np.divide(u, kappa, out=psi)
     np.maximum(psi, -1.0, out=psi)
     np.minimum(psi, 1.0, out=psi)
-    terms = np.where(u < 0.0, *weights)
+    terms = np.where(np.less(u, 0.0, out=neg), lo, hi)
     terms *= psi
+    return terms, psi
+
+
+def _quantile_step(u: np.ndarray, arrays, kappa: float) -> np.ndarray:
+    """Loss gradient per online atom, g[i, b], from residuals u[i, j, b].
+
+    Each term is the same product that ``quantile_huber_grad`` forms, and
+    g = -mean_j of the terms is summed in ndarray.mean's order and negated
+    last, so every bit of g agrees with the unfused definition, signed
+    zeros included.
+    """
+    n = u.shape[0]
+    terms, _ = _kernel_terms(u, arrays, kappa)
     if n < 8:
         # for fewer than eight terms numpy's pairwise sum adds in order
         g = np.add.reduce(terms, axis=1)
     else:
         g = np.add.reduce(terms.transpose(0, 2, 1).copy(), axis=-1)
     g /= -n                     # -(sum / n), bit for bit
+    return g
+
+
+def _quantile_loss(u: np.ndarray, arrays, kappa: float) -> float:
+    """The loss of residuals u[i, j, b]: the sum of the terms rho, averaged
+    over j and the batch."""
+    terms, psi = _kernel_terms(u, arrays, kappa)
     # rho = w |psi| (|u| - kappa |psi| / 2) = terms * (u - kappa psi / 2)
     psi *= 0.5 * kappa
     np.subtract(u, psi, out=psi)
-    loss = float(np.dot(terms.ravel(), psi.ravel())) / (n * u.shape[2])
-    return g, loss
+    return float(np.dot(terms.ravel(), psi.ravel())) / (u.shape[0] * u.shape[2])

@@ -73,6 +73,7 @@ def final_classes(cfg, results, policy):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_1_robust_vs_noisy_selection(town_a_results):
     cfg, results, elapsed = town_a_results
     greedy = final_classes(cfg, results, "greedy")
@@ -87,6 +88,7 @@ def test_criterion_1_robust_vs_noisy_selection(town_a_results):
            f"t-ssd robust {n_robust}/10, runtime {elapsed:.0f}s (cap 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_three_route_discrimination(town_b_results):
     cfg, results = town_b_results
     tssd = final_classes(cfg, results, "t-ssd")
@@ -100,6 +102,7 @@ def test_criterion_2_three_route_discrimination(town_b_results):
     report(2, ok, f"t-ssd crosswalk-free {free}/10, robust-1 {n_r1}/10")
 
 
+@pytest.mark.slow
 def test_criterion_3_critical_state_variance_ordering(town_a_results):
     cfg, results, _ = town_a_results
     tssd = final_classes(cfg, results, "t-ssd")

@@ -128,6 +128,17 @@ def test_trials_seed_and_step_overrides(tmp_path, capsys):
     assert all(line.startswith("5,") for line in lines[1:])
 
 
+def test_negative_jobs_is_a_usage_error(tmp_path, capsys):
+    # --jobs -1 once ran the study serially with exit 0; 0 means "auto"
+    cfg = write_config(tmp_path / "cfg.json", seeds=[1])
+    out = tmp_path / "o"
+    code, _, stderr = run(capsys, "trials", str(cfg), "--out", str(out),
+                          "--jobs", "-1")
+    assert code == 2
+    assert "--jobs must be >= 0" in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
 def test_total_steps_off_the_eval_grid_is_a_usage_error(tmp_path, capsys):
     # 250 steps at an interval of 100 once ran no evaluation at the last
     # step, and printed an empty final route class per policy with exit 0
@@ -519,6 +530,9 @@ ILL_TYPED_CONFIGS = {
         {"exec_policy": "greedy"}, {"exec_policy": "ssd"},
         {"exec_policy": "t-ssd", "ssd_thres": 10**400}]},
     "lr-huge-int": {"agent": {"lr": 10**400}},
+    # a batch larger than the buffer once trained with no update at all
+    "batch_size-over-buffer_size": {"agent": {"batch_size": 4096,
+                                              "buffer_size": 2048}},
     # t-ssd under its legacy name is an unknown exec policy
     "exec_policy-thresholded_ssd": {"exec_policies": [
         {"exec_policy": "thresholded_ssd", "ssd_thres": 15.0}]},

@@ -158,8 +158,9 @@ def test_qr_update_zero_residual_fixed_point():
         agent.head.theta[0, 0] = -1.0
         agent.sync_target()
         before = agent.head.theta.copy()
-        loss = agent.qr_update(batch_of(Transition(0, 0, -1.0, 1, True)))
-        assert loss == 0.0
+        batch = batch_of(Transition(0, 0, -1.0, 1, True))
+        assert agent.td_loss(batch) == 0.0
+        agent.qr_update(batch)
         np.testing.assert_array_equal(agent.head.theta, before)
 
 
@@ -214,7 +215,7 @@ def test_qr_update_loss_value_matches_manual():
     taus = midpoints(2)
     want = sum(quantile_huber(deltas[i, j], taus[i], 1.0) / 2
                for i in range(2) for j in range(2))
-    assert agent.qr_update(b) == pytest.approx(want, rel=1e-12)
+    assert agent.td_loss(b) == pytest.approx(want, rel=1e-12)
 
 
 def test_tabular_sgd_matches_linear_net_sgd():
@@ -274,10 +275,10 @@ def test_network_update_runs_and_reduces_loss():
                   n_states=4, n_actions=2, seed=0)
     b = batch_of(Transition(0, 0, -1.0, 1, True),
                  Transition(1, 1, -2.0, 2, True))
-    first = agent.qr_update(b)
+    first = agent.td_loss(b)
     for _ in range(500):
-        last = agent.qr_update(b)
-    assert last < first
+        agent.qr_update(b)
+    assert agent.td_loss(b) < first
 
 
 def test_sync_target():
@@ -329,6 +330,16 @@ def test_action_dists_table_serves_the_forwards_bits(backend, seed, states):
         check()
 
 
+@settings(max_examples=60)
+@given(n=st.integers(1, 20), seed=st.integers(0, 2**16))
+def test_whole_table_greedy_picks_each_states_greedy(n, seed):
+    # the table head's behaviour policy reads a state's greedy action from
+    # one pass over the whole table, or takes it from the state's own rows
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=(6, 3, n)).round(rng.integers(0, 3))  # some ties
+    assert list(greedy(theta)) == [greedy(theta[s]) for s in range(6)]
+
+
 @pytest.mark.parametrize("b", [1, 7, 64])
 def test_bootstrap_table_matches_the_uncached_gather(b, monkeypatch):
     agent = Agent(cfg(backend="network", hidden=(16, 8), n_quantiles=5),
@@ -374,7 +385,9 @@ def test_update_determinism():
             buf.push(int(rng.integers(3)), int(rng.integers(2)),
                      float(rng.normal()), int(rng.integers(3)), False)
             if len(buf) >= 32:
-                run.append(agent.qr_update(buf.sample(32, rng)))
+                batch = buf.sample(32, rng)
+                run.append(agent.td_loss(batch))
+                agent.qr_update(batch)
         losses.append(run)
     assert losses[0] == losses[1]
 

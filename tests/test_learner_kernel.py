@@ -4,8 +4,9 @@ The reference below is the update written out step by step: residuals
 from the target-side greedy action, ``quantile_huber_grad``, its mean over
 target atoms, ``np.add.at`` into the table (or a one-hot forward and
 backward pass for the network) and the optimizer arithmetic. Parameters
-and optimizer moments must agree bit for bit; the loss, which the kernel
-forms from its own intermediates, within 1e-12 relative.
+and optimizer moments must agree bit for bit; the loss, which
+``Agent.td_loss`` forms from the kernel's intermediates, within 1e-12
+relative.
 """
 from types import SimpleNamespace
 
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qrrn import nn
-from qrrn.learner import Agent, AgentConfig, Batch, _quantile_step
+from qrrn.learner import (Agent, AgentConfig, Batch, _quantile_loss,
+                          _quantile_step)
 from qrrn.quantdist import midpoints, quantile_huber, quantile_huber_grad
 
 # exact zeros and ties are where signs and rounding order show
@@ -136,7 +138,10 @@ def cases(draw, backend):
 def check_against_reference(agent: Agent, batch: Batch) -> None:
     ref = snapshot(agent)
     for _ in range(3):              # later steps see nonzero Adam moments
-        loss = agent.qr_update(batch)
+        before = state_bits(agent)
+        loss = agent.td_loss(batch)
+        assert state_bits(agent) == before
+        assert agent.qr_update(batch) is None
         want = reference_update(agent, ref, batch)
         assert state_bits(agent) == ref_bits(ref)
         assert loss == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -161,7 +166,9 @@ def test_kernel_gradient_and_loss_match_quantile_huber(n, b, kappa, data):
     # per-transition terms, before any scatter could hide a signed zero
     u = data.draw(arrays(float, (n, n, b), elements=VALUES))
     agent = Agent(AgentConfig(n_quantiles=n), n_states=1, n_actions=1)
-    g, loss = _quantile_step(u.copy(), agent._kernel_weights(b), kappa)
+    kernel = agent._kernel_arrays(b)
+    g = _quantile_step(u.copy(), kernel, kappa)
+    loss = _quantile_loss(u.copy(), kernel, kappa)
     # C order, as the unfused code built it: the mean's summation order
     # depends on the layout
     delta = np.ascontiguousarray(u.transpose(2, 0, 1))
@@ -184,11 +191,12 @@ def permuted(u: np.ndarray) -> np.ndarray:
        st.sampled_from([0.05, 0.7, 1.0, 3.0]), st.data())
 def test_kernel_output_does_not_depend_on_layout(n, b, kappa, data):
     u = data.draw(arrays(float, (n, n, b), elements=VALUES))
-    weights = Agent(AgentConfig(n_quantiles=n), 1, 1)._kernel_weights(b)
+    kernel = Agent(AgentConfig(n_quantiles=n), 1, 1)._kernel_arrays(b)
     other = permuted(u)
     assert not other.flags.c_contiguous or min(n, b) == 1
-    g, loss = _quantile_step(u, weights, kappa)
-    g_other, loss_other = _quantile_step(other, weights, kappa)
+    g, loss = _quantile_step(u, kernel, kappa), _quantile_loss(u, kernel, kappa)
+    g_other = _quantile_step(other, kernel, kappa)
+    loss_other = _quantile_loss(other, kernel, kappa)
     assert bits(g) == bits(g_other)
     assert bits(loss) == bits(loss_other)
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import FIXTURE, damaged_fixture, header_edit
 from hypothesis import given, settings, strategies as st
 
-from qrrn import cli, nn, trainer as trainer_mod
+from qrrn import cli, learner as learner_mod, nn, trainer as trainer_mod
 from qrrn.env import EnvConfig
 from qrrn.learner import Agent, AgentConfig
 from qrrn.policies import ExecPolicy
@@ -122,14 +122,15 @@ names = st.text(max_size=8)
 env_configs = st.builds(EnvConfig, r_base=numbers, r_loopback=numbers,
                         crosswalk_std=numbers, episode_cap=sizes,
                         obs_encoding=st.sampled_from(["one-hot", "index"]))
-agent_configs = st.builds(
+# a batch never exceeds the buffer it is drawn from
+agent_configs = sizes.flatmap(lambda buffer_size: st.builds(
     AgentConfig, n_quantiles=sizes, gamma=st.floats(0.0, 0.999), lr=numbers,
-    buffer_size=sizes, batch_size=sizes, gradient_steps=sizes,
-    exploration_fraction=st.floats(1e-6, 1.0), exploration_final_eps=fractions,
-    target_sync_interval=st.none() | sizes,
+    buffer_size=st.just(buffer_size), batch_size=st.integers(1, buffer_size),
+    gradient_steps=sizes, exploration_fraction=st.floats(1e-6, 1.0),
+    exploration_final_eps=fractions, target_sync_interval=st.none() | sizes,
     backend=st.sampled_from(["tabular", "network"]), kappa=numbers,
     hidden=st.lists(sizes, max_size=3).map(tuple),
-    optimizer=st.sampled_from(["adam", "sgd"]))
+    optimizer=st.sampled_from(["adam", "sgd"])))
 scenario_params = st.builds(ScenarioParams, noisy_len=st.integers(),
                             robust_len=st.integers(),
                             robust2_len=st.none() | st.integers())
@@ -569,6 +570,27 @@ def test_network_backend_trains_and_resumes(tmp_path):
     assert resumed.agent.adam.t == full.agent.adam.t
 
 
+@pytest.mark.parametrize("sync", [None, 5])
+def test_table_takes_one_greedy_pass_per_target_version(monkeypatch, sync):
+    # the behaviour policy and the bootstrap share one whole-table greedy
+    # pass per version the target holds: one per update at the default
+    # per-step sync, one per sync window (not per update) at an interval
+    whole = []
+    counted = learner_mod.greedy
+    monkeypatch.setattr(learner_mod, "greedy",
+                        lambda d: whole.append(d.ndim == 3) or counted(d))
+    cfg = small_cfg(total_steps=200, eval_interval=100, seeds=[1],
+                    agent=AgentConfig(batch_size=8, target_sync_interval=sync))
+    train_one(cfg, 1)
+    updates = cfg.total_steps - 8 + 1
+    if sync is None:
+        assert whole == [True] * updates
+    else:
+        # the windows after the syncs at steps 5, 10, ..., 195 (the first
+        # holds the first update, at step 8), and per-state picks between
+        assert sum(whole) == cfg.total_steps // 5 - 1 < len(whole)
+
+
 # ---------------------------------------------------------------------------
 # damaged checkpoints
 
@@ -578,8 +600,8 @@ def saved(tmp_path_factory):
     network checkpoint, to write damaged copies beside."""
     scratch = tmp_path_factory.mktemp("damaged")
     (scratch / "fixture.qrrn").write_bytes(FIXTURE.read_bytes())
-    net = Agent(AgentConfig(backend="network", hidden=(4,), buffer_size=32),
-                5, 2, seed=1)
+    net = Agent(AgentConfig(backend="network", hidden=(4,), buffer_size=32,
+                            batch_size=8), 5, 2, seed=1)
     save_checkpoint(net, str(scratch / "network.qrrn"))
     return scratch
 
@@ -726,6 +748,14 @@ def test_build_agent_names_missing_header_key_or_array():
     ck = read_checkpoint(str(FIXTURE))
     ck.header["buffer"]["size"] = ck.header["buffer"]["capacity"] + 1
     with pytest.raises(CorruptCheckpoint, match="buffer"):
+        ck.build_agent()
+
+
+def test_build_agent_refuses_a_batch_larger_than_the_buffer():
+    ck = read_checkpoint(str(FIXTURE))
+    agent = ck.header["config"]["agent"]
+    agent["batch_size"] = agent["buffer_size"] + 1
+    with pytest.raises(CorruptCheckpoint, match="exceeds buffer_size"):
         ck.build_agent()
 
 
