@@ -296,10 +296,7 @@ class RoadEnv:
         vec[s] = 1.0
         return vec
 
-    def reset(self, seed=None, episode: int | None = None) -> None:
-        if seed is not None:
-            self._seed = seed
-            self.episode = -1
+    def reset(self, episode: int | None = None) -> None:
         self.episode = self.episode + 1 if episode is None else episode
         self.rng = stream_rng(self._seed, self.episode)
         self.current = self.graph.start

@@ -34,33 +34,17 @@ def split(flat: np.ndarray, shapes) -> list:
     return out
 
 
-@dataclass
 class DenseNet:
     """Affine layers whose parameters live in one float vector, ``flat``,
-    laid out as ``params`` lists them. The arrays given are copied into a
-    new vector, and ``weights`` and ``biases`` become views into it;
-    ``over`` builds a net on a vector that exists."""
+    laid out as ``params`` lists them: ``weights`` ((out, in) matrices) and
+    ``biases`` ((out,) vectors) are views of ``flat`` cut to ``shapes`` (see
+    ``layer_shapes``), without a copy. ``activations`` holds "relu" or
+    "identity" per layer."""
 
-    weights: list            # (out, in) matrices
-    biases: list             # (out,) vectors
-    activations: list        # "relu" | "identity" per layer
-    flat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ps = [np.asarray(p) for p in params(self)]
-        self.flat = np.concatenate([p.ravel() for p in ps], dtype=float)
-        views = split(self.flat, [p.shape for p in ps])
-        self.weights, self.biases = views[0::2], views[1::2]
-
-    @classmethod
-    def over(cls, flat: np.ndarray, shapes, activations) -> "DenseNet":
-        """A net whose parameters are views of ``flat`` cut to ``shapes``
-        (see ``layer_shapes``), without a copy."""
-        net = cls.__new__(cls)
+    def __init__(self, flat: np.ndarray, shapes, activations):
         views = split(flat, shapes)
-        net.weights, net.biases = views[0::2], views[1::2]
-        net.activations, net.flat = list(activations), flat
-        return net
+        self.weights, self.biases = views[0::2], views[1::2]
+        self.activations, self.flat = list(activations), flat
 
     @property
     def input_dim(self) -> int:
@@ -69,10 +53,6 @@ class DenseNet:
     @property
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
-
-    @property
-    def dims(self):
-        return [self.input_dim] + [w.shape[0] for w in self.weights]
 
 
 def layer_shapes(dims) -> list:
@@ -91,8 +71,7 @@ def init(dims, seed=0) -> DenseNet:
         raise BadDims(f"need at least [in, out] with positive sizes, got {dims}")
     shapes = layer_shapes(dims)
     acts = ["relu"] * (len(dims) - 2) + ["identity"]
-    net = DenseNet.over(np.zeros(sum(math.prod(s) for s in shapes)), shapes,
-                        acts)
+    net = DenseNet(np.zeros(sum(math.prod(s) for s in shapes)), shapes, acts)
     if seed is not None:
         entropy = ([int(x) for x in seed] if isinstance(seed, (tuple, list))
                    else int(seed))
@@ -105,8 +84,8 @@ def init(dims, seed=0) -> DenseNet:
 
 
 def clone(net: DenseNet) -> DenseNet:
-    return DenseNet.over(net.flat.copy(), [p.shape for p in params(net)],
-                         net.activations)
+    return DenseNet(net.flat.copy(), [p.shape for p in params(net)],
+                    net.activations)
 
 
 def params(net: DenseNet):

@@ -1,7 +1,8 @@
 """Action selection over per-action return distributions.
 
 Inputs are (n_actions, n_atoms) arrays: one quantile mixture per action.
-Three rules are provided:
+Three rules are provided, each as a kind of ``ExecPolicy``, whose
+``select`` is the one decision entry point:
 
 * greedy: argmax of the per-action means,
 * ssd: greedy unless the top-2 means tie exactly, then the smaller raw
@@ -27,10 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import read
-
-
-class TooFewActions(ValueError):
-    pass
 
 
 _KINDS = ("greedy", "ssd", "t-ssd")
@@ -86,40 +83,6 @@ def _tie_break(dists, thres: float, central: bool) -> int:
     return a1 if s[a1] <= s[a2] else a2
 
 
-def greedy_action(dists) -> int:
-    """Action with the largest mean return; ties -> lowest index."""
-    return _ranked(dists)[2]
-
-
-def top2(dists):
-    """The two actions with the largest means, best first."""
-    _, _, a1, a2 = _ranked(dists)
-    if a2 is None:
-        raise TooFewActions("top2 needs at least two actions")
-    return a1, a2
-
-
-def ssd_action(dists) -> int:
-    """Greedy with exact-tie fallback to the smaller raw second moment.
-
-    Only bit-equal means tie, so on trained values this rule behaves
-    identically to greedy.
-    """
-    return _tie_break(dists, 0.0, central=False)
-
-
-def thresholded_ssd_action(dists, thres: float) -> int:
-    """Prefer the top action only when its mean lead exceeds ``thres``.
-
-    Otherwise the top-2 are considered tied and the action whose
-    distribution has the smaller variance (second central moment) is
-    chosen.
-    """
-    if not thres >= 0:
-        raise ValueError(f"threshold must be >= 0, got {thres}")
-    return _tie_break(dists, thres, central=True)
-
-
 @dataclass(frozen=True)
 class ExecPolicy:
     """A named execution rule; ``ssd_thres`` only matters for t-ssd."""
@@ -138,10 +101,11 @@ class ExecPolicy:
         return self.kind
 
     def select(self, dists) -> int:
+        """The rule's action; an ssd policy ignores ``ssd_thres``."""
         if self.kind == "greedy":
-            return greedy_action(dists)
+            return _ranked(dists)[2]
         if self.kind == "ssd":
-            return ssd_action(dists)
+            return _tie_break(dists, 0.0, central=False)
         return _tie_break(dists, self.ssd_thres, central=True)
 
     def to_dict(self) -> dict:

@@ -50,10 +50,6 @@ class BadParams(MapError):
     """Scenario generator parameters are out of range or mis-ordered."""
 
 
-class NoPath(ValueError):
-    """No route exists from the start to any requested goal."""
-
-
 class InvalidRoute(ValueError):
     """A route references an edge that is not in the graph."""
 
@@ -122,7 +118,6 @@ class GraphMap:
     crosswalks: frozenset
     action_dim: int | None = None
     trans: np.ndarray = field(init=False, repr=False, compare=False)
-    out_degree: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.goals = frozenset(int(g) for g in self.goals)
@@ -207,7 +202,6 @@ class GraphMap:
         for e in self.edges:
             trans[e.src, e.action] = e.dst
         self.trans = trans
-        self.out_degree = out_deg
 
         reached = self._reachable_from(self.start)
         missing = self.goals - reached
@@ -323,19 +317,13 @@ def transition(m: GraphMap, state: int, action: int) -> int:
     return int(m.trans[state, action])
 
 
-def shortest_path(m: GraphMap, start: int | None = None, goals=None) -> Route:
-    """Minimum-edge-count route from start to the nearest goal.
+def shortest_path(m: GraphMap) -> Route:
+    """Minimum-edge-count route from the start to the nearest goal.
 
     Ties are broken toward the lexicographically smallest node sequence so
-    the result is deterministic.
+    the result is deterministic. ``GraphMap`` guarantees that the start is
+    not a goal and that every goal is reachable from it.
     """
-    start = m.start if start is None else start
-    goals = frozenset(m.goals if goals is None else goals)
-    if not (0 <= start < m.n_states):
-        raise InvalidState(f"state {start} outside 0..{m.n_states - 1}")
-    if start in goals:
-        return Route([start])
-
     rev = {}
     fwd = {}
     for e in m.edges:
@@ -343,7 +331,7 @@ def shortest_path(m: GraphMap, start: int | None = None, goals=None) -> Route:
         fwd.setdefault(e.src, set()).add(e.dst)
 
     # multi-source BFS from the goal set over reversed edges
-    dist = {g: 0 for g in goals if 0 <= g < m.n_states}
+    dist = {g: 0 for g in m.goals}
     frontier = sorted(dist)
     while frontier:
         nxt = []
@@ -353,23 +341,20 @@ def shortest_path(m: GraphMap, start: int | None = None, goals=None) -> Route:
                     dist[p] = dist[u] + 1
                     nxt.append(p)
         frontier = sorted(nxt)
-    if start not in dist:
-        raise NoPath(f"no goal reachable from {start}")
 
     # walk forward, always taking the smallest successor that stays on a
     # shortest path; greedy choice is lexicographically optimal
-    nodes = [start]
-    u = start
-    while u not in goals:
+    nodes = [m.start]
+    u = m.start
+    while u not in m.goals:
         step = [v for v in sorted(fwd.get(u, ())) if dist.get(v, -1) == dist[u] - 1]
         u = step[0]
         nodes.append(u)
     return Route(nodes)
 
 
-def enumerate_routes(m: GraphMap, max_length: int | None = None):
+def enumerate_routes(m: GraphMap):
     """All simple start-to-goal routes, sorted by (length, node sequence)."""
-    limit = m.n_states - 1 if max_length is None else max_length
     fwd = {}
     for e in m.edges:
         fwd.setdefault(e.src, set()).add(e.dst)
@@ -378,8 +363,6 @@ def enumerate_routes(m: GraphMap, max_length: int | None = None):
     def dfs(u, path, on_path):
         if u in m.goals:
             found.append(Route(list(path)))
-            return
-        if len(path) - 1 >= limit:
             return
         for v in sorted(fwd.get(u, ())):
             if v not in on_path:

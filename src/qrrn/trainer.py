@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -376,12 +375,14 @@ def run_trials(cfg: RunConfig, jobs: int = 1,
 
 
 def run_lr_sweep(cfg: RunConfig, lrs, jobs: int = 1) -> dict:
-    """Trial reports per learning rate (plumbing for sensitivity studies)."""
-    out = {}
-    for lr in lrs:
-        swept = replace(cfg, agent=replace(cfg.agent, lr=float(lr)))
-        out[float(lr)] = run_trials(swept, jobs=jobs)
-    return out
+    """Trial reports per learning rate (plumbing for sensitivity studies).
+    Every rate's config is built, and so checked, before any training, and
+    the rates must be distinct: reports are keyed by rate."""
+    lrs = [float(lr) for lr in lrs]
+    if len(set(lrs)) != len(lrs):
+        raise ValueError(f"learning rates must be distinct, got {lrs}")
+    swept = {lr: replace(cfg, agent=replace(cfg.agent, lr=lr)) for lr in lrs}
+    return {lr: run_trials(c, jobs=jobs) for lr, c in swept.items()}
 
 
 def curve_auc(report: TrialReport, policy: str, eval_interval: int) -> float:
@@ -478,10 +479,14 @@ class Checkpoint:
         h = self.header
         with _reading("agent"):
             cfg = AgentConfig.from_dict(_field(h, "config", "agent"))
-            n_states = operator.index(_field(h, "dims", "n_states"))
-            n_actions = operator.index(_field(h, "dims", "n_actions"))
-            if _field(h, "buffer", "capacity") != cfg.buffer_size:
+            n_states = _count(h, "dims", "n_states")
+            n_actions = _count(h, "dims", "n_actions")
+            if _count(h, "buffer", "capacity") != cfg.buffer_size:
                 raise CorruptCheckpoint("buffer capacity mismatch")
+            if (_field(h, "backend") != cfg.backend
+                    or _count(h, "dims", "n_quantiles") != cfg.n_quantiles):
+                raise CorruptCheckpoint("backend or dims.n_quantiles "
+                                        "disagrees with config.agent")
             names, shapes = Agent.layout(cfg, n_states, n_actions)
             for slot_names in names:        # online, target, Adam m and v
                 for name, shape in zip(slot_names, shapes):
@@ -494,16 +499,16 @@ class Checkpoint:
             for flat, slot_names in zip(flats, names):
                 np.concatenate([self.arrays[k].ravel() for k in slot_names],
                                out=flat)
-            agent.adam.t = int(_field(h, "adam_t") or 0)
+            agent.adam.t = _count(h, "adam_t")
             buf = agent.buffer
-            size = int(_field(h, "buffer", "size"))
-            cursor = int(_field(h, "buffer", "cursor"))
-            if not (0 <= size <= buf.capacity and 0 <= cursor < buf.capacity):
+            size = _count(h, "buffer", "size")
+            cursor = _count(h, "buffer", "cursor")
+            if not (size <= buf.capacity and cursor < buf.capacity):
                 raise CorruptCheckpoint("buffer position outside its capacity")
             buf.size, buf.cursor = size, cursor
             for col in _BUFFER_COLUMNS:     # cast from float64, as astype does
                 getattr(buf, col)[:] = self.arrays[f"buf_{col}"]
-            agent.steps_done = int(_field(h, "step"))
+            agent.steps_done = _count(h, "step")
         return agent
 
     def _array(self, name: str, shape) -> np.ndarray:
@@ -535,7 +540,7 @@ class Checkpoint:
         if env_state is None or rng_state is None or cfg is None:
             raise CorruptCheckpoint("no training state (config.run, env, rng)")
         with _reading("training state"):
-            seed = operator.index(_field(h, "seed"))
+            seed = _count(h, "seed")
             env = RoadEnv(graph, cfg.env, (seed, STREAM_TRAIN_ENV))
             env.set_state(env_state)
             train_rng = stream_rng(0)
@@ -551,6 +556,16 @@ def _field(doc, *keys):
             raise CorruptCheckpoint(f"checkpoint header lacks {'.'.join(keys)}")
         doc = doc[key]
     return doc
+
+
+def _count(doc, *keys) -> int:
+    """An integer field ``_field`` finds; a bool, a float, a string or a
+    negative number there is a corrupt header."""
+    value = _field(doc, *keys)
+    if type(value) is not int or value < 0:
+        raise CorruptCheckpoint(f"checkpoint header {'.'.join(keys)} must be "
+                                f"an integer >= 0, got {value!r}")
+    return value
 
 
 @contextlib.contextmanager

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qrrn import nn
 from qrrn.roadnet import ScenarioParams, build_map, generate_scenario
 
 # a trained three-route checkpoint (format v1) kept with the benchmark
@@ -97,10 +98,16 @@ def simple_paths_bruteforce(graph):
     return sorted(out, key=lambda p: (len(p), p))
 
 
+def dense_net(weights, biases, activations):
+    """An ``nn.DenseNet`` over one new vector holding copies of the given
+    weight matrices and bias vectors."""
+    ps = [np.asarray(p, dtype=float) for wb in zip(weights, biases) for p in wb]
+    return nn.DenseNet(np.concatenate([p.ravel() for p in ps]),
+                       [p.shape for p in ps], activations)
+
+
 def finite_diff_grads(net, x, grad_out, h=1e-5):
     """Central finite differences of grad_out . output w.r.t. every param."""
-    from qrrn import nn
-
     def objective():
         y = nn.forward(net, x)
         return float(np.sum(np.asarray(grad_out) * y))

@@ -16,8 +16,7 @@ from qrrn.learner import Agent, AgentConfig, Batch
 from qrrn.oracle import (empirical_quantiles, greedy_rollout, ssd_grid_check,
                          truncated_normal_moments, truncated_normal_samples,
                          value_iteration)
-from qrrn.policies import (ExecPolicy, greedy_action, ssd_action,
-                           thresholded_ssd_action, top2)
+from qrrn.policies import ExecPolicy
 from qrrn.quantdist import midpoints, quantile_huber, ssd_dominates
 from qrrn.roadnet import build_map, shortest_path
 from qrrn.trainer import (RunConfig, aggregate_csv_text, curves_csv_text,
@@ -254,11 +253,12 @@ def test_criterion_10_exact_formula_fixtures():
 
     spread = [-14.0, -10.0, -6.0, -2.0]     # mean -8, var 20
     flat = [-10.0] * 4                      # mean -10, var 0
-    checks.append(greedy_action([spread, flat]) == 0)
-    checks.append(top2([[-10.0] * 2, [-8.0] * 2, [-12.0] * 2]) == (1, 0))
-    checks.append(ssd_action([spread, flat]) == 0)
-    checks.append(ssd_action([[0.0] * 4, [-2.0, -1.0, 1.0, 2.0]]) == 0)
-    checks.append(thresholded_ssd_action([spread, flat], SSD_THRES) == 1)
-    checks.append(thresholded_ssd_action([spread, flat], 1.0) == 0)
+    greedy, ssd = ExecPolicy("greedy"), ExecPolicy("ssd")
+    checks.append(greedy.select([spread, flat]) == 0)
+    checks.append(greedy.select([[-10.0] * 2, [-8.0] * 2, [-12.0] * 2]) == 1)
+    checks.append(ssd.select([spread, flat]) == 0)
+    checks.append(ssd.select([[0.0] * 4, [-2.0, -1.0, 1.0, 2.0]]) == 0)
+    checks.append(ExecPolicy("t-ssd", SSD_THRES).select([spread, flat]) == 1)
+    checks.append(ExecPolicy("t-ssd", 1.0).select([spread, flat]) == 0)
     report(10, all(checks),
            f"{sum(checks)}/{len(checks)} exact fixtures at 1e-12")

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 from conftest import damaged_fixture, header_edit
 
+from qrrn import trainer as trainer_mod
 from qrrn.cli import main
 from qrrn.learner import Agent, AgentConfig
 from qrrn.roadnet import (ScenarioParams, build_map, emit_map,
@@ -166,6 +167,23 @@ def test_trials_lr_sweep(tmp_path, capsys):
     assert (out / "lr_0.001" / "aggregate.csv").exists()
     assert (out / "lr_0.0005" / "curves.csv").exists()
     assert stdout.count("auc") == 2
+
+
+@pytest.mark.parametrize("rates, message", [("0.001,-1", "lr must be > 0"),
+                                           ("0.001,1e-3", "distinct")])
+def test_trials_lr_sweep_checks_every_rate_before_training(
+        tmp_path, capsys, monkeypatch, rates, message):
+    # a bad rate once failed only after the rates before it had trained,
+    # and a repeated one trained twice and reported once
+    def no_training(*args, **kwargs):
+        raise AssertionError("a rate trained before the sweep was checked")
+    monkeypatch.setattr(trainer_mod, "run_trials", no_training)
+    cfg = write_config(tmp_path / "cfg.json", seeds=[1], total_steps=2000)
+    code, stdout, stderr = run(capsys, "trials", str(cfg), "--out",
+                               str(tmp_path / "o"), "--lr-sweep", rates)
+    assert code == 2
+    assert message in stderr and "Traceback" not in stderr
+    assert "learning-rate sweep" not in stdout
 
 
 def test_trials_empty_seed_list(tmp_path, capsys):
@@ -482,6 +500,11 @@ ILL_TYPED_HEADERS = [
     ("dims.n_states", "18"), ("dims.n_states", [18]),
     ("buffer.size", [1]), ("step", [1]),
     ("arrays", 7), ("arrays.0.shape", 5), ("arrays.0.shape", ["a"]),
+    # integers read with int() and fields that repeat config.agent: each of
+    # these once loaded, and inspect printed "checkpoint step -5" or "3"
+    ("adam_t", -7), ("adam_t", "12"), ("adam_t", None), ("step", -5),
+    ("step", 3.7), ("step", True), ("buffer.cursor", 1.5),
+    ("buffer.size", False), ("backend", "network"), ("dims.n_quantiles", 8),
 ]
 
 

@@ -144,7 +144,8 @@ def test_observation_deterministic_across_episodes(two_route_map):
     env.reset()
     first = env.observe(5).copy()
     env.step(0)
-    env.reset(seed=77)
+    env = RoadEnv(two_route_map, EnvConfig(), seed=77)
+    env.reset()
     np.testing.assert_array_equal(env.observe(5), first)
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import dense_net
 from qrrn import nn
 from qrrn.learner import (Agent, AgentConfig, Batch, _quantile_loss,
                           _quantile_step)
@@ -54,8 +55,8 @@ def reference_update(agent: Agent, ref: SimpleNamespace, batch: Batch) -> float:
         tt_all = ref.target[0][batch.s_next]
     else:
         acts = agent.head.net.activations
-        net = nn.DenseNet(ref.params[0::2], ref.params[1::2], acts)
-        net_target = nn.DenseNet(ref.target[0::2], ref.target[1::2], acts)
+        net = dense_net(ref.params[0::2], ref.params[1::2], acts)
+        net_target = dense_net(ref.target[0::2], ref.target[1::2], acts)
         x = onehot(batch.s, agent.n_states)
         th = nn.forward(net, x).reshape(b, -1, n)[np.arange(b), batch.a]
         tt_all = nn.forward(net_target, onehot(batch.s_next, agent.n_states))

@@ -5,25 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import finite_diff_grads, max_rel_grad_error
+from conftest import dense_net, finite_diff_grads, max_rel_grad_error
 from qrrn import nn
 
 
 def test_forward_zero_net():
-    net = nn.DenseNet([np.zeros((3, 2)), np.zeros((2, 3))],
-                      [np.zeros(3), np.zeros(2)], ["relu", "identity"])
+    net = dense_net([np.zeros((3, 2)), np.zeros((2, 3))],
+                    [np.zeros(3), np.zeros(2)], ["relu", "identity"])
     np.testing.assert_array_equal(nn.forward(net, [1.0, -2.0]), [0.0, 0.0])
 
 
 def test_forward_identity_layer():
-    net = nn.DenseNet([np.eye(4)], [np.zeros(4)], ["identity"])
+    net = dense_net([np.eye(4)], [np.zeros(4)], ["identity"])
     x = np.array([0.5, -1.0, 2.0, 0.0])
     np.testing.assert_array_equal(nn.forward(net, x), x)
 
 
 def test_forward_hand_computed_fixture():
     # relu([W1 x + b1]) through  W2 . + b2, worked out by hand once
-    net = nn.DenseNet(
+    net = dense_net(
         [np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[1.0, -1.0], [2.0, 0.0]])],
         [np.array([0.5, -1.0]), np.array([0.0, 1.0])],
         ["relu", "identity"])
@@ -56,8 +56,8 @@ def test_backward_zero_grad_out():
 
 
 def test_backward_linear_closed_form():
-    net = nn.DenseNet([np.random.default_rng(0).normal(size=(3, 4))],
-                      [np.zeros(3)], ["identity"])
+    net = dense_net([np.random.default_rng(0).normal(size=(3, 4))],
+                    [np.zeros(3)], ["identity"])
     x = np.array([1.0, -2.0, 0.5, 3.0])
     g = np.array([0.3, -1.2, 2.0])
     dw, db = nn.backward(net, x, g)
@@ -157,7 +157,7 @@ def test_adam_constant_gradient_step_magnitude():
 
 
 def test_sgd_step():
-    net = nn.DenseNet([np.ones((2, 2))], [np.zeros(2)], ["identity"])
+    net = dense_net([np.ones((2, 2))], [np.zeros(2)], ["identity"])
     grad = np.array([2.0, 2.0, 2.0, 2.0, 1.0, -1.0])   # dW, then db
     nn.sgd_step(net.flat, grad, lr=0.5)
     np.testing.assert_allclose(net.weights[0], np.zeros((2, 2)), atol=1e-15)
